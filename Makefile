@@ -26,7 +26,7 @@ bench-check:
 # then audit that every command-line flag the binaries register is documented
 # in the user-facing docs (see cmd/doccheck -flags).
 doccheck:
-	$(GO) run ./cmd/doccheck ./internal/sim ./internal/port ./internal/sweepd ./internal/rtlc ./internal/prof ./internal/psim
+	$(GO) run ./cmd/doccheck ./internal/sim ./internal/port ./internal/sweepd ./internal/rtlc ./internal/prof
 	$(GO) run ./cmd/doccheck -flags README.md,EXPERIMENTS.md,PERFORMANCE.md \
 		./cmd/gem5rtl ./cmd/nvdla-dse ./cmd/rtlsim ./cmd/pmurun ./cmd/kernelbench \
 		./cmd/sweepd ./cmd/sweepctl ./cmd/faultcamp ./cmd/overhead

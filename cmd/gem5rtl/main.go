@@ -68,7 +68,6 @@ func main() {
 	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine: "+engineChoices()+" (default bytecode; results are engine-independent)")
 	nvdlas := flag.Int("nvdla", 0, "number of NVDLA accelerator instances")
 	inflight := flag.Int("inflight", 64, "per-NVDLA max in-flight memory requests")
-	shards := flag.Int("shards", 0, "parallel simulation shards (0/1 = serial; needs -nvdla; results are shard-count-independent)")
 	dlaWorkload := flag.String("dla-workload", "sanity3", "NVDLA trace: sanity3 or googlenet")
 	dlaScale := flag.Int("dla-scale", 8, "NVDLA trace footprint divisor")
 	scratchpad := flag.Bool("scratchpad", false, "hook NVDLA SRAMIF to an on-chip scratchpad (paper §4.2 extension)")
@@ -113,7 +112,6 @@ func main() {
 	cfg.NVDLAs = *nvdlas
 	cfg.NVDLAMaxInflight = *inflight
 	cfg.NVDLAScratchpad = *scratchpad
-	cfg.Shards = *shards
 	s, err := soc.Build(cfg)
 	if err != nil {
 		fatal(err)
@@ -346,9 +344,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("# simulated %.3f ms (%d events)\n",
-		float64(s.Queue.Now())/float64(sim.Millisecond), s.Dispatched())
+		float64(s.Queue.Now())/float64(sim.Millisecond), s.Queue.Dispatched())
 	s.Stats.Dump(os.Stdout)
-	if rep := prof.FromQueues(s.ShardQueues...); rep != nil {
+	if rep := prof.FromQueue(s.Queue); rep != nil {
 		if err := rep.Export(*selfProfOut, os.Stderr); err != nil {
 			fatal(err)
 		}

@@ -39,7 +39,6 @@ func main() {
 	selfProfOut := flag.String("self-profile-out", "", "self-profile export file: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	engineName := flag.String("rtl-engine", "", "simulation engine: closure or bytecode (default closure; results are engine-independent)")
-	shards := flag.Int("shards", 0, "parallel simulation shards (a standalone model is one shard; values above 1 are rejected — shard full-SoC runs with gem5rtl/nvdla-dse)")
 	var sets multiFlag
 	flag.Var(&sets, "set", "drive input: name=value (repeatable)")
 	flag.Parse()
@@ -50,9 +49,6 @@ func main() {
 			fatal(err)
 		}
 		defer stop()
-	}
-	if *shards > 1 {
-		fatal(fmt.Errorf("a standalone RTL model is a single shard; -shards=%d applies to full-SoC runs (use gem5rtl or nvdla-dse)", *shards))
 	}
 	if flag.NArg() != 1 || *top == "" {
 		fmt.Fprintln(os.Stderr, "usage: rtlsim -top NAME [flags] design.{v,sv,vhd,vhdl}")

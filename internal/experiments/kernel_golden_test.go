@@ -107,6 +107,45 @@ func TestKernelGoldenStateHash(t *testing.T) {
 	}
 }
 
+// readKernelGolden loads the pinned grid results.
+func readKernelGolden(t *testing.T) []kernelGoldenEntry {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", "kernel_golden.json"))
+	if err != nil {
+		t.Fatalf("missing golden file (run TestKernelGoldenStateHash -update to capture): %v", err)
+	}
+	var want []kernelGoldenEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestShardedCrossEngine crosses the grid with the non-default RTL
+// execution engine: the closure engine must reproduce the goldens on one
+// point per in-flight band, because the engine is an execution strategy,
+// not a modelling choice. (The name dates from when the check also crossed
+// engines with sharded builds; the simulator now runs serially only.)
+func TestShardedCrossEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("not -short friendly")
+	}
+	base := port.PacketIDMark()
+	defer port.SetPacketIDForTest(base)
+	want := readKernelGolden(t)
+	specs := kernelGoldenSpecs()
+	t.Run("closure", func(t *testing.T) {
+		for _, i := range []int{0, 5, 11} {
+			spec := specs[i]
+			spec.RTLEngine = "closure"
+			if got := runKernelGoldenPoint(t, spec); got != want[i] {
+				t.Errorf("closure engine diverged on %s:\n  got  ticks=%d hash=%s\n  want ticks=%d hash=%s",
+					got.Spec, got.Ticks, got.Hash, want[i].Ticks, want[i].Hash)
+			}
+		}
+	})
+}
+
 // TestReferenceQueueMatchesGolden replays the same 12-config grid with the
 // pure binary-heap reference queue and checks it against the same golden
 // file. Together with TestKernelGoldenStateHash (which runs the calendar
@@ -122,14 +161,7 @@ func TestReferenceQueueMatchesGolden(t *testing.T) {
 	sim.UseReferenceQueueForTest(true)
 	defer sim.UseReferenceQueueForTest(false)
 
-	buf, err := os.ReadFile(filepath.Join("testdata", "kernel_golden.json"))
-	if err != nil {
-		t.Fatalf("missing golden file (run TestKernelGoldenStateHash -update to capture): %v", err)
-	}
-	var want []kernelGoldenEntry
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readKernelGolden(t)
 	specs := kernelGoldenSpecs()
 	if len(want) != len(specs) {
 		t.Fatalf("golden file has %d entries, grid has %d", len(want), len(specs))

@@ -148,7 +148,7 @@ func (o *runOpts) finish(s *soc.System) error {
 		o.statsSink(s.Stats.SnapshotSorted())
 	}
 	if o.profSink != nil {
-		o.profSink(prof.FromQueues(s.ShardQueues...))
+		o.profSink(prof.FromQueue(s.Queue))
 	}
 	return nil
 }
@@ -165,7 +165,7 @@ func runCold(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
 		return 0, Permanent(err)
 	}
 	done, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
-	obs.CountEvents(s.Dispatched())
+	obs.CountEvents(s.Queue.Dispatched())
 	// Stop before the finish sinks: the watchdog's host-side check event must
 	// not be scheduled while StateHash serialises the queue.
 	if wd != nil {
@@ -210,7 +210,7 @@ func runWarm(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
 				wd = s.AttachWatchdog(*o.guard)
 			}
 			done, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
-			obs.CountEvents(s.Dispatched())
+			obs.CountEvents(s.Queue.Dispatched())
 			if wd != nil {
 				wd.Stop()
 			}
@@ -264,7 +264,7 @@ func runWarm(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
 		wd = s.AttachWatchdog(*o.guard)
 	}
 	total, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
-	obs.CountEvents(s.Dispatched())
+	obs.CountEvents(s.Queue.Dispatched())
 	if wd != nil {
 		wd.Stop()
 	}

@@ -35,11 +35,6 @@ type RunSpec struct {
 	// is excluded from the canonical encoding and the fingerprint, and two
 	// specs differing only in engine are the same simulation point.
 	RTLEngine string `json:"rtl_engine,omitempty"`
-	// Shards selects the bulk-synchronous sharded simulation engine
-	// (soc.Config.Shards; 0/1 = serial). Like RTLEngine it is a pure
-	// execution-strategy knob — results are shard-count-independent — so it
-	// too is excluded from the canonical encoding and the fingerprint.
-	Shards int `json:"shards,omitempty"`
 }
 
 // String renders the spec for progress lines and error messages.
@@ -118,9 +113,6 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("experiments: invalid spec: %w", err)
 		}
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("experiments: invalid spec: shards %d (want >= 0; 0 or 1 selects the serial engine)", s.Shards)
-	}
 	return nil
 }
 
@@ -134,7 +126,6 @@ type runSpecJSON struct {
 	Scale     int      `json:"scale"`
 	Limit     sim.Tick `json:"limit"`
 	RTLEngine string   `json:"rtl_engine,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
 }
 
 // UnmarshalJSON decodes a spec strictly: an unknown field is an error, so a
@@ -156,11 +147,10 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 // encoding is usable as a deduplication key.
 func (s RunSpec) CanonicalJSON() []byte {
 	raw := runSpecJSON(s)
-	// Engines are dispatch-identical and shard counts result-identical: the
-	// execution-strategy knobs must not split the result-store key space, so
-	// they never reach the canonical bytes.
+	// Engines are dispatch-identical: the execution-strategy knob must not
+	// split the result-store key space, so it never reaches the canonical
+	// bytes.
 	raw.RTLEngine = ""
-	raw.Shards = 0
 	b, err := json.Marshal(raw)
 	if err != nil {
 		// Marshalling a struct of strings and integers cannot fail.
@@ -198,5 +188,5 @@ func ParseSpecs(data []byte) ([]RunSpec, error) {
 func (p DSEParams) Spec(workload string, nDLA int, memory string, inflight int) RunSpec {
 	return RunSpec{Workload: workload, NVDLAs: nDLA, Memory: memory,
 		Inflight: inflight, Scale: p.Scale, Limit: p.Limit,
-		RTLEngine: p.RTLEngine, Shards: p.Shards}
+		RTLEngine: p.RTLEngine}
 }

@@ -30,13 +30,23 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStrictDecodeRejectsUnknownFields checks a typo'd field fails loudly
-// instead of silently running the zero value.
+// TestStrictDecodeRejectsUnknownFields checks an unknown field fails loudly,
+// naming the field, instead of silently running the zero value: a typo, or a
+// field the spec no longer has ("shards").
 func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
-	var spec RunSpec
-	err := json.Unmarshal([]byte(`{"workload":"sanity3","inflght":16}`), &spec)
-	if err == nil || !strings.Contains(err.Error(), "inflght") {
-		t.Errorf("unknown field not rejected: err=%v", err)
+	for _, c := range []struct {
+		name, input, field string
+	}{
+		{"typo", `{"workload":"sanity3","inflght":16}`, "inflght"},
+		{"removed", `{"workload":"sanity3","shards":2}`, "shards"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var spec RunSpec
+			err := json.Unmarshal([]byte(c.input), &spec)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("unknown field %q not rejected: err=%v", c.field, err)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,6 @@ func specConfig(spec RunSpec) soc.Config {
 	cfg.NVDLAs = spec.NVDLAs
 	cfg.NVDLAMaxInflight = spec.Inflight
 	cfg.RTLEngine = rtl.Engine(spec.RTLEngine)
-	cfg.Shards = spec.Shards
 	return cfg
 }
 

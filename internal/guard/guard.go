@@ -91,11 +91,6 @@ type progressSrc struct {
 	fn   func() uint64
 }
 
-type namedQueue struct {
-	name string
-	q    *sim.EventQueue
-}
-
 // Watchdog is an EventQueue-attached liveness monitor. Register components
 // with Watch and forward-progress counters with AddProgress, then Start it;
 // a trip latches a HangError (see Err) and ends the simulation loop via
@@ -107,15 +102,6 @@ type Watchdog struct {
 
 	probes   []Probe
 	progress []progressSrc
-
-	// shards are additional event queues (the sharded engine's non-primary
-	// shards) whose pending events the liveness logic and diagnostics must
-	// cover; see WatchQueue.
-	shards []namedQueue
-
-	// hostedLast throttles CheckHosted to the configured interval.
-	hostedLast  sim.Tick
-	hostedValid bool
 
 	// traceTail, when set, supplies the last trace lines recorded for a
 	// component (see SetTraceTail); trips include them in the diagnostic.
@@ -148,16 +134,6 @@ func NewWatchdog(q *sim.EventQueue, cfg Config) *Watchdog {
 // Watch registers components whose in-flight work the watchdog tracks.
 func (w *Watchdog) Watch(probes ...Probe) {
 	w.probes = append(w.probes, probes...)
-}
-
-// WatchQueue registers an additional shard event queue under a diagnostic
-// name. The liveness logic then treats the machine as drained only when
-// every registered queue is empty, and a trip's pending-event dump
-// aggregates across all queues, naming the queue each event sits on — so a
-// hang report from a sharded run says which shard stalled instead of
-// showing only the primary shard's (possibly empty) queue.
-func (w *Watchdog) WatchQueue(name string, q *sim.EventQueue) {
-	w.shards = append(w.shards, namedQueue{name, q})
 }
 
 // SetTraceTail wires a trace-line source (typically obs.Tracer.Tail): on a
@@ -199,37 +175,8 @@ func (w *Watchdog) Err() error {
 	return w.err
 }
 
-// check is the periodic liveness event (the serial engine's driver).
+// check is the periodic liveness event.
 func (w *Watchdog) check() {
-	tripped, idle := w.runCheck()
-	if tripped || idle {
-		return
-	}
-	w.q.Schedule(w.ev, w.q.Now()+w.cfg.Interval)
-}
-
-// CheckHosted runs one liveness check from a host-side driver — the sharded
-// engine's epoch-barrier hook, where every shard is quiescent — instead of
-// a queue event. It self-throttles to the configured interval (barriers
-// arrive far more often than checks are wanted) and reports whether the
-// watchdog tripped, so the hook can stop the run. now is the aligned
-// simulated time at the barrier.
-func (w *Watchdog) CheckHosted(now sim.Tick) bool {
-	if w.err != nil {
-		return true
-	}
-	if w.hostedValid && now-w.hostedLast < w.cfg.Interval {
-		return false
-	}
-	w.hostedLast, w.hostedValid = now, true
-	tripped, _ := w.runCheck()
-	return tripped
-}
-
-// runCheck performs one liveness check. tripped reports a latched hang;
-// idle reports full quiescence (no in-flight work, every watched queue
-// empty), after which the serial driver stops rescheduling itself.
-func (w *Watchdog) runCheck() (tripped, idle bool) {
 	work := 0
 	for _, p := range w.probes {
 		work += p.InFlight()
@@ -240,10 +187,6 @@ func (w *Watchdog) runCheck() (tripped, idle bool) {
 	}
 	progressed := !w.lastValid || total != w.last
 	w.last, w.lastValid = total, true
-	empty := w.q.Empty()
-	for _, s := range w.shards {
-		empty = empty && s.q.Empty()
-	}
 	switch {
 	case work == 0:
 		// Quiescent: nothing to wait on. Reset the stall count so idle
@@ -251,15 +194,15 @@ func (w *Watchdog) runCheck() (tripped, idle bool) {
 		// toward a trip, and let the queue drain naturally if this check was
 		// the last pending event.
 		w.stalls = 0
-		if empty {
-			return false, true
+		if w.q.Empty() {
+			return
 		}
-	case empty:
+	case w.q.Empty():
 		// The check event was the last thing scheduled, yet components still
 		// hold in-flight work: the simulation lost the events that would have
 		// completed it.
 		w.trip("event queue drained with in-flight work")
-		return true, false
+		return
 	case progressed:
 		w.stalls = 0
 	default:
@@ -267,10 +210,10 @@ func (w *Watchdog) runCheck() (tripped, idle bool) {
 		if w.stalls >= w.cfg.MaxStalls {
 			w.trip(fmt.Sprintf("no forward progress for %d checks (%d ns simulated) with in-flight work",
 				w.stalls, uint64(w.cfg.Interval)*uint64(w.stalls)/uint64(sim.Nanosecond)))
-			return true, false
+			return
 		}
 	}
-	return false, false
+	w.q.Schedule(w.ev, w.q.Now()+w.cfg.Interval)
 }
 
 // trip latches the diagnostic and ends the simulation loop.
@@ -294,35 +237,11 @@ func (w *Watchdog) trip(reason string) {
 			fmt.Fprintf(&b, "    | %s\n", line)
 		}
 	}
-	w.dumpPending(&b)
+	pending := w.q.PendingSummaries(w.cfg.MaxDumpEvents)
+	fmt.Fprintf(&b, "pending events (%d total, first %d):\n", w.q.Pending(), len(pending))
+	for _, s := range pending {
+		fmt.Fprintf(&b, "  %s\n", s)
+	}
 	w.err = &HangError{Tick: w.q.Now(), Reason: reason, Diagnostic: b.String()}
 	w.q.ExitSimLoop("watchdog: " + reason)
-}
-
-// dumpPending renders the pending-event listing, aggregated across the
-// primary queue and every queue registered via WatchQueue. With shard
-// queues registered, each queue's contribution is labelled so the report
-// names the shard that still holds (or has lost) its events.
-func (w *Watchdog) dumpPending(b *strings.Builder) {
-	if len(w.shards) == 0 {
-		pending := w.q.PendingSummaries(w.cfg.MaxDumpEvents)
-		fmt.Fprintf(b, "pending events (%d total, first %d):\n", w.q.Pending(), len(pending))
-		for _, s := range pending {
-			fmt.Fprintf(b, "  %s\n", s)
-		}
-		return
-	}
-	all := append([]namedQueue{{"shard0", w.q}}, w.shards...)
-	total := 0
-	for _, nq := range all {
-		total += nq.q.Pending()
-	}
-	fmt.Fprintf(b, "pending events (%d total across %d shards):\n", total, len(all))
-	for _, nq := range all {
-		pending := nq.q.PendingSummaries(w.cfg.MaxDumpEvents)
-		fmt.Fprintf(b, "  %s: %d pending (first %d):\n", nq.name, nq.q.Pending(), len(pending))
-		for _, s := range pending {
-			fmt.Fprintf(b, "    %s\n", s)
-		}
-	}
 }

@@ -36,9 +36,7 @@ func (x *Xbar) SaveState(w *ckpt.Writer) error {
 	for _, b := range x.egressBusy {
 		w.U64(uint64(b))
 	}
-	// Forwarded is kept per lane at runtime (remote lanes count on their own
-	// shard); the checkpoint stores the engine-independent sum.
-	w.U64(x.ForwardedCount())
+	w.U64(x.Forwarded)
 	w.U64(x.Responses)
 	for i := range x.fronts {
 		if err := x.fronts[i].SaveState(w); err != nil {
@@ -73,10 +71,7 @@ func (x *Xbar) RestoreState(r *ckpt.Reader) error {
 	for i := range x.egressBusy {
 		x.egressBusy[i] = sim.Tick(r.U64())
 	}
-	for i := range x.forwarded {
-		x.forwarded[i] = 0
-	}
-	x.forwarded[0] = r.U64()
+	x.Forwarded = r.U64()
 	x.Responses = r.U64()
 	for i := range x.fronts {
 		if err := x.fronts[i].RestoreState(r); err != nil {

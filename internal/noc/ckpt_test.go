@@ -74,8 +74,8 @@ func TestXbarRoundTrip(t *testing.T) {
 	if got := saveXbar(t, x2); !bytes.Equal(got, blob) {
 		t.Error("re-saved state differs from original checkpoint")
 	}
-	if x2.ForwardedCount() != x.ForwardedCount() || x2.Responses != x.Responses {
-		t.Errorf("counters = %d/%d, want %d/%d", x2.ForwardedCount(), x2.Responses, x.ForwardedCount(), x.Responses)
+	if x2.Forwarded != x.Forwarded || x2.Responses != x.Responses {
+		t.Errorf("counters = %d/%d, want %d/%d", x2.Forwarded, x2.Responses, x.Forwarded, x.Responses)
 	}
 	if x2.outstanding[0] != x.outstanding[0] {
 		t.Errorf("outstanding = %v, want %v", x2.outstanding, x.outstanding)

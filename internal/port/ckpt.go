@@ -87,15 +87,15 @@ func (p *ResponsePort) RestoreState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// canonicalStampSeqs maps each entry's stamp Seq — a raw per-queue dispatch
-// sequence number whose absolute value depends on the engine (one serial
-// counter vs per-shard counters) — to a canonical ordinal among the entries
-// that share its (When, Prio, Rank) dispatch identity, ordered by raw Seq
-// (stable by position for full ties). The relative Seq order of same-name
-// dispatches is engine-independent, so serial and sharded saves emit the
-// same ordinals; and ordinals stay far below sim.CanonicalSeqBase, so fresh
-// post-restore dispatch stamps always order behind restored ones with the
-// same (When, Prio, Rank).
+// canonicalStampSeqs maps each entry's stamp Seq — a raw dispatch sequence
+// number whose absolute value depends on how many events the run scheduled
+// before it, and so differs between a cold run and one resumed from a
+// checkpoint — to a canonical ordinal among the entries that share its
+// (When, Prio, Rank) dispatch identity, ordered by raw Seq (stable by
+// position for full ties). Cold and resumed runs of the same machine
+// therefore save the same bytes; and ordinals stay far below
+// sim.CanonicalSeqBase, so fresh post-restore dispatch stamps always order
+// behind restored ones with the same (When, Prio, Rank).
 func canonicalStampSeqs(entries []queuedPkt) []uint64 {
 	type key struct {
 		when sim.Tick

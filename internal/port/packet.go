@@ -120,11 +120,11 @@ type PacketPool struct {
 	// space, when non-zero, namespaces the pool's IDs: minted IDs are
 	// space<<IDSpaceShift | ctr with a pool-local counter instead of draws
 	// from the process-global counter. A namespaced allocator's ID sequence
-	// depends only on its own allocation order — not on what any other
-	// component (or shard goroutine) allocates in between — which is what
-	// keeps packet IDs, and therefore checkpoint bytes, identical between the
-	// serial and sharded engines. The counter is component state: owners
-	// persist it via SaveCounter/RestoreCounter in their own checkpoints.
+	// depends only on its own allocation order, not on what any other
+	// component allocates in between. In-flight packet IDs are checkpointed,
+	// so the committed checkpoint bytes and StateHash values are pinned with
+	// these IDs. The counter is component state: owners persist it via
+	// SaveCounter/RestoreCounter in their own checkpoints.
 	space uint64
 	ctr   uint64
 }

@@ -23,13 +23,12 @@ type RespQueue struct {
 }
 
 // queuedPkt is one scheduled delivery. stamp is the dispatch stamp of the
-// event that inserted it (sim.EventQueue.CurrentStamp at Schedule time, or an
-// explicit sender stamp via ScheduleStamped): entries are kept sorted by
-// (when, stamp), which for a serial run is exactly the historical
-// insertion-order-stable sort (stamps are monotone in dispatch order) and for
-// a sharded run makes the queue order independent of *when in host time* a
-// cross-shard insertion was applied — the sender's dispatch identity, not the
-// apply order, decides arrival-tick ties.
+// event that inserted it (sim.EventQueue.CurrentStamp at Schedule time, or
+// the saved stamp on restore): entries are kept sorted by (when, stamp),
+// which within a run is exactly the insertion-order-stable sort (stamps are
+// monotone in dispatch order). Stamps travel in checkpoints, so entries
+// restored with canonicalised stamps keep their order against entries
+// queued after the restore.
 type queuedPkt struct {
 	pkt   *Packet
 	when  sim.Tick
@@ -65,14 +64,6 @@ func (rq *RespQueue) SetOwner(id sim.OwnerID) { rq.ev.SetOwner(id) }
 // Schedule queues pkt (which must already be a response) for delivery at the
 // given absolute tick, stamped with the current dispatch context.
 func (rq *RespQueue) Schedule(pkt *Packet, when sim.Tick) {
-	rq.ScheduleStamped(pkt, when, rq.q.CurrentStamp())
-}
-
-// ScheduleStamped is Schedule with an explicit sender stamp — the sharded
-// engine's barrier-apply path uses it to insert cross-shard responses under
-// the *sender's* dispatch identity, and checkpoint restore uses it to
-// reinstate saved stamps.
-func (rq *RespQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if !pkt.IsResponse() {
 		panic("port: RespQueue.Schedule with non-response packet")
 	}
@@ -89,7 +80,8 @@ func (rq *RespQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp
 		rq.head = 0
 	}
 	// Insert keeping the queue sorted by (readiness time, sender stamp),
-	// stable for equal keys — identical to issue order in a serial run.
+	// stable for equal keys — identical to issue order.
+	stamp := rq.q.CurrentStamp()
 	i := insertPos(rq.pending, rq.head, when, stamp)
 	rq.pending = append(rq.pending, queuedPkt{})
 	copy(rq.pending[i+1:], rq.pending[i:])
@@ -166,18 +158,13 @@ func (rq *ReqQueue) SetOwner(id sim.OwnerID) { rq.ev.SetOwner(id) }
 // Schedule queues a request for transmission at the given absolute tick,
 // stamped with the current dispatch context.
 func (rq *ReqQueue) Schedule(pkt *Packet, when sim.Tick) {
-	rq.ScheduleStamped(pkt, when, rq.q.CurrentStamp())
-}
-
-// ScheduleStamped is Schedule with an explicit sender stamp; see
-// RespQueue.ScheduleStamped.
-func (rq *ReqQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if pkt.IsResponse() {
 		panic("port: ReqQueue.Schedule with response packet")
 	}
 	if when < rq.q.Now() {
 		when = rq.q.Now()
 	}
+	stamp := rq.q.CurrentStamp()
 	i := insertPos(rq.pending, 0, when, stamp)
 	rq.pending = append(rq.pending, queuedPkt{})
 	copy(rq.pending[i+1:], rq.pending[i:])

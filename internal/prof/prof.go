@@ -56,10 +56,11 @@ func FromQueue(q *sim.EventQueue) *Report {
 	return r
 }
 
-// FromQueues builds one merged Report across shard queues (soc
-// System.ShardQueues), or nil when profiling is off everywhere. Event
-// counts sum across shards; the wall time is the maximum per-shard wall
-// time, since shards run concurrently and summing would overcount the run.
+// FromQueues builds one merged Report across queues run concurrently, or
+// nil when profiling is off everywhere. Event counts sum across queues; the
+// wall time is the maximum per-queue wall time. The simulator itself uses
+// FromQueue; FromQueues remains only for the benchmark module, which passes
+// it soc.System.ShardQueues.
 func FromQueues(qs ...*sim.EventQueue) *Report {
 	var out *Report
 	var wall int64

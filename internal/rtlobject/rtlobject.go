@@ -235,9 +235,8 @@ func (r *RTLObject) Name() string { return r.cfg.Name }
 // SetPacketIDSpace namespaces the object's DMA packet IDs under the given
 // non-zero space tag (port.PacketPool.SetIDSpace). The SoC assigns every
 // RTLObject its own space so the object's ID sequence depends only on its own
-// allocation order — a prerequisite for the sharded engine, where objects
-// allocate concurrently, to mint the same IDs (and therefore the same
-// checkpoint bytes) as a serial run. Must be called before Start.
+// allocation order; the IDs of its in-flight packets are part of the pinned
+// checkpoint bytes and StateHash. Must be called before Start.
 func (r *RTLObject) SetPacketIDSpace(space uint64) { r.pool.SetIDSpace(space) }
 
 // Stats returns a snapshot of activity counters.

@@ -85,13 +85,9 @@ type Event struct {
 	// rank is a stable arbitration key derived from the event name (FNV-64a).
 	// Same-tick, same-priority events dispatch in rank order before falling
 	// back to the insertion sequence, so the intra-tick order of events from
-	// *different* components depends only on their names — not on which queue
-	// they were scheduled on or in which host order. This is what lets the
-	// sharded engine (internal/psim) reproduce the serial dispatch order
-	// bit-for-bit: component names are unique, so cross-component ties break
-	// identically on every shard layout, and the seq tie-break is only ever
-	// consulted between events of the same name, which always live on the
-	// same queue.
+	// *different* components depends only on their names, not on the order
+	// in which they happened to be scheduled. The committed goldens,
+	// StateHash values and checkpoint bytes are pinned under this order.
 	rank uint64
 	seq  uint64
 	// index is the event's far-heap position, or one of the sentinel states
@@ -211,16 +207,14 @@ type EventQueue struct {
 	// curStamp identifies the dispatch context of the event currently (or
 	// most recently) executing: its (when, prio, rank, seq). Port queues
 	// capture it at insertion time so their arrival-tick ties resolve by the
-	// *sender's* dispatch order — an engine-independent key the sharded
-	// engine can reproduce across epoch barriers.
+	// *sender's* dispatch order, and checkpoint it with each queued packet.
 	curStamp Stamp
 
 	// stopAfter, when stopSet, caps RunUntil: no event with a later tick is
 	// dispatched and time does not advance past it. Unlike ExitSimLoop it is
 	// not an event and consumes no sequence numbers or dispatch counts, so a
 	// run that completes via stop-after leaves the same queue state as one
-	// that never reached the cap — the property the serial and sharded
-	// engines rely on to finish runs at bit-identical states.
+	// given exactly that limit.
 	stopAfter Tick
 	stopSet   bool
 
@@ -606,6 +600,20 @@ func (q *EventQueue) Run() string {
 // introspection hook — the liveness watchdog dumps it when a simulation
 // wedges — and does not disturb the queue.
 func (q *EventQueue) PendingSummaries(max int) []string {
+	evs := q.pendingInOrder()
+	if max > 0 && len(evs) > max {
+		evs = evs[:max]
+	}
+	out := make([]string, len(evs))
+	for i, e := range evs {
+		out[i] = fmt.Sprintf("%s @%d prio=%d", e.name, e.when, e.prio)
+	}
+	return out
+}
+
+// pendingInOrder returns every pending event (near ring and far heap) in
+// dispatch order: (when, prio, rank, seq).
+func (q *EventQueue) pendingInOrder() []*Event {
 	evs := make([]*Event, 0, q.Pending())
 	evs = append(evs, q.far...)
 	for si, head := range q.slots {
@@ -621,22 +629,9 @@ func (q *EventQueue) PendingSummaries(max int) []string {
 		if a.when != b.when {
 			return a.when < b.when
 		}
-		if a.prio != b.prio {
-			return a.prio < b.prio
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.seq < b.seq
+		return a.before(b)
 	})
-	if max > 0 && len(evs) > max {
-		evs = evs[:max]
-	}
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = fmt.Sprintf("%s @%d prio=%d", e.name, e.when, e.prio)
-	}
-	return out
+	return evs
 }
 
 // RunUntil dispatches events with tick <= limit (further capped by
@@ -667,11 +662,7 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 // Stamp is the identity of one event dispatch: the (when, prio, rank, seq)
 // key under which the event was ordered. Stamps order exactly like the
 // dispatch order itself, so "sort by stamp" reproduces "order of side
-// effects in the serial run" — the property port queues use to keep
-// arrival-tick ties deterministic under the sharded engine. The Seq field
-// is only ever compared between dispatches of the same event name (equal
-// Rank), which always share a queue, so stamp comparisons never depend on
-// per-queue sequence counters diverging across shard layouts.
+// effects" — the property port queues use to order same-tick arrivals.
 type Stamp struct {
 	When Tick
 	Prio int32
@@ -701,7 +692,7 @@ func (q *EventQueue) CurrentStamp() Stamp { return q.curStamp }
 // SetStopAfter caps RunUntil at tick t: events scheduled later stay pending
 // and simulated time stops at t. Unlike ExitSimLoop this consumes no event,
 // sequence number or dispatch count — completion detected mid-run (the last
-// NVDLA interrupt) can end the run at an epoch-aligned tick while leaving
+// NVDLA interrupt) can end the run at a later aligned tick while leaving
 // queue state identical to a run that was given exactly that limit.
 func (q *EventQueue) SetStopAfter(t Tick) {
 	q.stopAfter = t
@@ -710,6 +701,3 @@ func (q *EventQueue) SetStopAfter(t Tick) {
 
 // ClearStopAfter disarms SetStopAfter.
 func (q *EventQueue) ClearStopAfter() { q.stopSet = false; q.stopAfter = 0 }
-
-// StopAfter returns the armed stop-after tick, or false when disarmed.
-func (q *EventQueue) StopAfter() (Tick, bool) { return q.stopAfter, q.stopSet }

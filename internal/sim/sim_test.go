@@ -42,8 +42,8 @@ func TestSameTickPriorityAndFIFO(t *testing.T) {
 
 // TestSameTickRankOrder pins the cross-name arbitration contract: same-tick,
 // same-priority events of different names dispatch in name-rank order no
-// matter which order they were scheduled in — the property that makes
-// dispatch order independent of the queue layout (serial vs sharded).
+// matter which order they were scheduled in; the goldens are pinned under
+// this order.
 func TestSameTickRankOrder(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma", "delta"}
 	runIn := func(order []int) []string {

@@ -23,19 +23,27 @@ const ckptScale = 64
 
 // nvdlaSystem builds and fully sets up one accelerator run.
 func nvdlaSystem(t testing.TB, memory, wl string) *soc.System {
+	return nvdlaSystemN(t, memory, wl, 1)
+}
+
+// nvdlaSystemN is nvdlaSystem with n accelerators, each playing its own copy
+// of the workload.
+func nvdlaSystemN(t testing.TB, memory, wl string, n int) *soc.System {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = memory
-	cfg.NVDLAs = 1
+	cfg.NVDLAs = n
 	cfg.NVDLAMaxInflight = 64
 	s := soc.MustBuild(cfg)
-	s.NVDLAs[0].Start()
-	tr, err := trace.Scaled(wl, 1<<32, ckptScale)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		s.NVDLAs[i].Start()
+		tr, err := trace.Scaled(wl, uint64(i+1)<<32, ckptScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.PlayTrace(i, tr)
 	}
-	s.PlayTrace(0, tr)
 	return s
 }
 
@@ -57,7 +65,8 @@ func runDigest(t testing.TB, s *soc.System) string {
 // property, checked for every Table 1 memory technology and both evaluation
 // workloads: checkpointing at tick T and restoring into a fresh process
 // (here: a fresh Build) yields bit-identical final state and statistics to
-// the uninterrupted run.
+// the uninterrupted run. Multi-accelerator cases check the same property
+// when several completion interrupts must all be seen before the stop.
 func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 	memories := []string{"ideal", "DDR4-1ch", "DDR4-2ch", "DDR4-4ch", "GDDR5", "HBM"}
 	workloads := []string{"sanity3", "googlenet"}
@@ -65,61 +74,72 @@ func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 		memories = []string{"ideal", "DDR4-1ch"}
 		workloads = []string{"sanity3"}
 	}
-	const limit = 8 * sim.Second
-	ctx := context.Background()
+	type cell struct {
+		name, wl, memory string
+		nvdlas           int
+	}
+	var cells []cell
 	for _, wl := range workloads {
 		for _, memory := range memories {
-			t.Run(wl+"/"+memory, func(t *testing.T) {
-				// Packet IDs come from a process-global counter; pin it so
-				// the reference and split runs see the ID sequence a fresh
-				// process would (the test is sequential, so rewinding is
-				// safe).
-				base := port.PacketIDMark()
-
-				// Uninterrupted reference run.
-				cold := nvdlaSystem(t, memory, wl)
-				coldDone, err := cold.RunUntilNVDLAsDone(limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				coldDigest := runDigest(t, cold)
-
-				// Same run split at the halfway tick.
-				port.SetPacketIDForTest(base)
-				split := nvdlaSystem(t, memory, wl)
-				mid := sim.Tick(coldDone / 2)
-				if _, _, err := split.RunNVDLAPhase(ctx, mid); err != nil {
-					t.Fatal(err)
-				}
-				var snap bytes.Buffer
-				if err := split.Save(&snap); err != nil {
-					t.Fatal(err)
-				}
-
-				// Fresh build, restore, no setup calls.
-				warm := soc.MustBuild(split.Cfg)
-				tick, err := warm.Restore(bytes.NewReader(snap.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sim.Tick(tick) != warm.Queue.Now() {
-					t.Fatalf("restored tick %d != queue now %d", tick, warm.Queue.Now())
-				}
-				warmDone, remaining, err := warm.RunNVDLAPhase(ctx, limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if remaining != 0 {
-					t.Fatalf("%d accelerators still running after restore", remaining)
-				}
-				if warmDone != coldDone {
-					t.Errorf("completion tick diverges: cold=%d warm=%d", coldDone, warmDone)
-				}
-				if got := runDigest(t, warm); got != coldDigest {
-					t.Errorf("restored run digest diverges:\n--- cold ---\n%s--- warm ---\n%s", coldDigest, got)
-				}
-			})
+			cells = append(cells, cell{wl + "/" + memory, wl, memory, 1})
 		}
+	}
+	cells = append(cells, cell{"sanity3/ideal/n2", "sanity3", "ideal", 2},
+		cell{"sanity3/DDR4-2ch/n4", "sanity3", "DDR4-2ch", 4})
+	const limit = 8 * sim.Second
+	ctx := context.Background()
+	for _, c := range cells {
+		wl, memory := c.wl, c.memory
+		t.Run(c.name, func(t *testing.T) {
+			// Packet IDs come from a process-global counter; pin it so
+			// the reference and split runs see the ID sequence a fresh
+			// process would (the test is sequential, so rewinding is
+			// safe).
+			base := port.PacketIDMark()
+
+			// Uninterrupted reference run.
+			cold := nvdlaSystemN(t, memory, wl, c.nvdlas)
+			coldDone, err := cold.RunUntilNVDLAsDone(limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldDigest := runDigest(t, cold)
+
+			// Same run split at the halfway tick.
+			port.SetPacketIDForTest(base)
+			split := nvdlaSystemN(t, memory, wl, c.nvdlas)
+			mid := sim.Tick(coldDone / 2)
+			if _, _, err := split.RunNVDLAPhase(ctx, mid); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := split.Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+
+			// Fresh build, restore, no setup calls.
+			warm := soc.MustBuild(split.Cfg)
+			tick, err := warm.Restore(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim.Tick(tick) != warm.Queue.Now() {
+				t.Fatalf("restored tick %d != queue now %d", tick, warm.Queue.Now())
+			}
+			warmDone, remaining, err := warm.RunNVDLAPhase(ctx, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if remaining != 0 {
+				t.Fatalf("%d accelerators still running after restore", remaining)
+			}
+			if warmDone != coldDone {
+				t.Errorf("completion tick diverges: cold=%d warm=%d", coldDone, warmDone)
+			}
+			if got := runDigest(t, warm); got != coldDigest {
+				t.Errorf("restored run digest diverges:\n--- cold ---\n%s--- warm ---\n%s", coldDigest, got)
+			}
+		})
 	}
 }
 

@@ -17,12 +17,6 @@ import (
 // If a watchdog is already attached (or attached later), its hang
 // diagnostics pick up the tracer's per-component tail automatically.
 func (s *System) AttachTracer(cfg obs.Config) (*obs.Tracer, error) {
-	if s.Engine != nil {
-		// Trace sinks are single-writer: component loggers on different
-		// shards would interleave into one buffer mid-epoch. Sharded runs
-		// are for throughput, serial runs for debugging.
-		return nil, fmt.Errorf("soc: tracing is not supported on a sharded build (Shards=%d); trace serially", s.Cfg.Shards)
-	}
 	t, err := obs.NewTracer(s.Queue, cfg)
 	if err != nil {
 		return nil, err
@@ -110,11 +104,6 @@ func (s *System) interposePortTaps(t *obs.Tracer) {
 // histogram and in-flight stamps travel in the checkpoint stream, so
 // packets straddling the checkpoint keep their original inject ticks.
 func (s *System) AttachLatencyProfile(chrome *obs.ChromeTrace) *obs.LatencyProfile {
-	if s.Engine != nil {
-		// Latency taps funnel every shard's packets into shared histograms;
-		// like tracing, that is a serial-run observability feature.
-		panic(fmt.Sprintf("soc: latency profiling is not supported on a sharded build (Shards=%d); profile serially", s.Cfg.Shards))
-	}
 	p := obs.NewLatencyProfile(s.Queue)
 	p.Chrome = chrome
 	for i, c := range s.Cores {

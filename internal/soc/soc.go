@@ -21,7 +21,6 @@ import (
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/psim"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
@@ -58,15 +57,6 @@ type Config struct {
 	// proposes. The paper's evaluated configuration leaves this false (both
 	// interfaces to main memory).
 	NVDLAScratchpad bool
-	// Shards splits the simulation across parallel event queues (DESIGN.md
-	// §9): shard 0 owns the memory side (cores, caches, crossbars, DRAM,
-	// PMU) and each further shard owns one or more NVDLA clusters, advancing
-	// in bulk-synchronous epochs bounded by the memory crossbar's latency.
-	// 0 or 1 selects the serial engine. Results are shard-count-independent:
-	// statistics, state hashes and checkpoints are bit-identical to a serial
-	// run. Shard counts above 1+NVDLAs are clamped (an extra shard with
-	// nothing on it buys nothing).
-	Shards int
 }
 
 // DefaultConfig returns the Table 1 system with DDR4-4ch memory.
@@ -114,18 +104,12 @@ type System struct {
 
 	Stats *stats.Registry
 
-	// ShardQueues lists every shard's event queue; ShardQueues[0] == Queue,
-	// and a serial build has length 1. Engine is the bulk-synchronous engine
-	// driving a sharded build (nil when serial).
+	// ShardQueues is always []*sim.EventQueue{Queue}. It remains only for
+	// callers that still pass it to prof.FromQueues; use Queue instead.
 	ShardQueues []*sim.EventQueue
-	Engine      *psim.Engine
-	// nvdlaShard[i] is the shard owning accelerator i (0 when serial).
-	nvdlaShard []int
-	// epochLen is the conservative lookahead — the memory crossbar's
-	// latency, the minimum simulated delay of any cross-shard interaction.
-	// Serial completion is epoch-aligned against it too, so serial and
-	// sharded runs end in identical states.
-	epochLen sim.Tick
+	// memXbarLat is the memory crossbar's traversal latency, the window
+	// RunNVDLAPhase aligns its completion stop to (see stopTick).
+	memXbarLat sim.Tick
 }
 
 // Table 1 cache latencies at 2 GHz (2/9/20 cycles).
@@ -136,10 +120,7 @@ const (
 )
 
 // memXbarMaxOutstanding is the memory-side crossbar's outstanding-request
-// cap. It must not clip the DSE's 240-in-flight sweep point, and it bounds
-// the NVDLAMaxInflight a sharded build accepts: a shard-boundary lane must
-// never be refused (DESIGN.md §9), which holds as long as each device's cap
-// keeps its lanes under this limit.
+// cap: headroom beyond the DSE's largest (240-in-flight) per-device cap.
 const memXbarMaxOutstanding = 512
 
 // Build wires a system from the configuration.
@@ -157,41 +138,10 @@ func Build(cfg Config) (*System, error) {
 	} else if _, err := rtl.ParseEngine(string(cfg.RTLEngine)); err != nil {
 		return nil, fmt.Errorf("soc: %w", err)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("soc: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Shards > 1 {
-		// The sharded engine's no-refusal invariant: a request crossing a
-		// shard boundary must always be accepted, because the retry handshake
-		// cannot span shards within an epoch. Each accelerator's in-flight cap
-		// must therefore be finite and within the crossbar's outstanding
-		// budget, and every shardable device must sit on the crossbar (a
-		// scratchpad-backed SRAMIF would need its own partition rules).
-		switch {
-		case cfg.NVDLAs == 0:
-			return nil, fmt.Errorf("soc: Shards=%d needs NVDLA accelerators to place on the extra shards", cfg.Shards)
-		case cfg.NVDLAScratchpad:
-			return nil, fmt.Errorf("soc: sharded simulation does not support NVDLAScratchpad")
-		case cfg.NVDLAMaxInflight <= 0:
-			return nil, fmt.Errorf("soc: sharded simulation requires a finite NVDLAMaxInflight")
-		case cfg.NVDLAMaxInflight > memXbarMaxOutstanding:
-			return nil, fmt.Errorf("soc: NVDLAMaxInflight %d exceeds the memory crossbar budget %d; a sharded run could see shard-boundary back-pressure",
-				cfg.NVDLAMaxInflight, memXbarMaxOutstanding)
-		}
-		if cfg.Shards > 1+cfg.NVDLAs {
-			cfg.Shards = 1 + cfg.NVDLAs
-		}
-	}
 	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry()}
 	s.Clock = sim.NewClockDomain("cpu_clk", s.Queue, cfg.CoreFreqHz)
 	s.Store = mem.NewStorage()
 	s.ShardQueues = []*sim.EventQueue{s.Queue}
-	shardClks := []*sim.ClockDomain{s.Clock}
-	for k := 1; k < cfg.Shards; k++ {
-		q := sim.NewEventQueue()
-		s.ShardQueues = append(s.ShardQueues, q)
-		shardClks = append(shardClks, sim.NewClockDomain(fmt.Sprintf("shard%d_clk", k), q, cfg.CoreFreqHz))
-	}
 
 	// Main memory.
 	var memPort *port.ResponsePort
@@ -220,17 +170,9 @@ func Build(cfg Config) (*System, error) {
 	s.CPUXbar = noc.New(cx, s.Queue, cfg.Cores, 1)
 	mx := xcfg
 	mx.Name = "mem_xbar"
-	// The memory-side crossbar must not clip the DSE's 240-in-flight sweep
-	// point: give it headroom beyond the largest per-device cap.
 	mx.MaxOutstanding = memXbarMaxOutstanding
 	s.MemXbar = noc.New(mx, s.Queue, 1+2*cfg.NVDLAs, 1)
-	// The crossbar's latency is the minimum simulated delay of any
-	// cross-shard interaction — the sharded engine's conservative lookahead
-	// and the epoch length serial completion aligns to.
-	s.epochLen = mx.Latency
-	if len(s.ShardQueues) > 1 {
-		s.Engine = psim.New(s.ShardQueues, s.epochLen)
-	}
+	s.memXbarLat = mx.Latency
 
 	// Shared LLC (16 MiB, 16-way, 8 banks x 32 MSHRs, 20-cycle data).
 	s.LLC = cache.New(cache.Config{
@@ -290,9 +232,9 @@ func Build(cfg Config) (*System, error) {
 		s.PMU = rtlobject.New(rtlobject.Config{
 			Name: "pmu", ClockDivider: 2,
 		}, s.Clock, w)
-		// RTL devices mint packet IDs from per-device namespaces so ID
-		// streams stay identical whether a device shares the global counter's
-		// shard or runs on its own (space 0 is the global pool).
+		// RTL devices mint packet IDs from per-device namespaces (space 0 is
+		// the global pool). The IDs of in-flight packets are checkpointed, so
+		// the namespaces are part of the pinned checkpoint bytes and StateHash.
 		s.PMU.SetPacketIDSpace(1)
 		s.Cores[0].OnCommit = w.AddCommits
 		s.L1Ds[0].OnMiss = w.AddMiss
@@ -300,34 +242,15 @@ func Build(cfg Config) (*System, error) {
 
 	// NVDLAs (Figure 2c): CSB on a CPU-side port, DBBIF/SRAMIF on the
 	// memory-side crossbar, 1 GHz, in-flight cap from the DSE parameter.
-	// Sharded builds place accelerator i on shard 1+(i mod (Shards-1)),
-	// round-robin, and route its crossbar lanes through the engine's
-	// barrier-exchanged links.
 	for i := 0; i < cfg.NVDLAs; i++ {
-		shard := 0
-		if s.Engine != nil {
-			shard = 1 + i%(len(s.ShardQueues)-1)
-		}
 		w := nvdla.New(nvdla.DefaultConfig(fmt.Sprintf("nvdla%d", i)))
 		obj := rtlobject.New(rtlobject.Config{
 			Name:         fmt.Sprintf("nvdla%d", i),
 			ClockDivider: 2,
 			MaxInflight:  cfg.NVDLAMaxInflight,
 			TLB:          rtlobject.IdentityTLB{}, // paper bypasses the IOMMU
-		}, shardClks[shard], w)
+		}, s.Clock, w)
 		obj.SetPacketIDSpace(uint64(2 + i))
-		if shard != 0 {
-			k := shard
-			for _, lane := range []int{1 + 2*i, 2 + 2*i} {
-				s.MemXbar.SetFrontShard(lane, s.ShardQueues[k],
-					func(m noc.IngressMsg) {
-						s.Engine.Send(k, 0, func() { s.MemXbar.ApplyIngress(m) })
-					},
-					func(m noc.EgressMsg) {
-						s.Engine.Send(0, k, func() { s.MemXbar.ApplyEgress(m) })
-					})
-			}
-		}
 		port.Bind(obj.MemPort(nvdla.PortDBBIF), s.MemXbar.FrontPort(1+2*i))
 		if cfg.NVDLAScratchpad {
 			spm := mem.NewScratchpad(mem.DefaultScratchpadConfig(
@@ -339,7 +262,6 @@ func Build(cfg Config) (*System, error) {
 		}
 		s.NVDLAs = append(s.NVDLAs, obj)
 		s.NVDLAWrappers = append(s.NVDLAWrappers, w)
-		s.nvdlaShard = append(s.nvdlaShard, shard)
 	}
 
 	s.registerStats()
@@ -512,14 +434,9 @@ func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, i
 	if remaining == 0 {
 		return s.Queue.Now(), 0, nil
 	}
-	if s.Engine != nil {
-		return s.runNVDLAPhaseSharded(ctx, limit)
-	}
-	// The last completion interrupt at tick T arms a stop at the end of T's
-	// epoch rather than exiting on the spot: a sharded run can only observe
-	// completion at epoch barriers, so the serial engine runs out the same
-	// epoch to end in the identical state. The reached tick reported is
-	// still T, the true completion time.
+	// The last completion interrupt at tick T arms a stop at stopTick(T)
+	// rather than exiting on the spot. The reported tick is still T, the
+	// true completion time.
 	var doneAt sim.Tick
 	for _, o := range s.NVDLAs {
 		o.OnInterrupt(func(level bool) {
@@ -527,7 +444,7 @@ func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, i
 				remaining--
 				if remaining == 0 {
 					doneAt = s.Queue.Now()
-					s.Queue.SetStopAfter(psim.EpochEnd(doneAt, s.epochLen))
+					s.Queue.SetStopAfter(s.stopTick(doneAt))
 				}
 			}
 		})
@@ -550,77 +467,11 @@ func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, i
 	return doneAt, 0, nil
 }
 
-// runNVDLAPhaseSharded drives the bulk-synchronous engine. Completion is
-// tracked per shard — each counter and last-interrupt tick is written only
-// by its shard's goroutine during the run phase and read by the coordinator
-// at epoch barriers, which order the accesses — so global completion is
-// observed without locks, at the barrier ending the epoch of the last
-// interrupt: exactly the tick the serial engine's epoch-aligned stop
-// reaches.
-func (s *System) runNVDLAPhaseSharded(ctx context.Context, limit sim.Tick) (sim.Tick, int, error) {
-	remainingSh := make([]int, len(s.ShardQueues))
-	lastIRQ := make([]sim.Tick, len(s.ShardQueues))
-	for i, w := range s.NVDLAWrappers {
-		if !w.Done() {
-			remainingSh[s.nvdlaShard[i]]++
-		}
-	}
-	for i, o := range s.NVDLAs {
-		k := s.nvdlaShard[i]
-		qk := s.ShardQueues[k]
-		o.OnInterrupt(func(level bool) {
-			if level {
-				remainingSh[k]--
-				lastIRQ[k] = qk.Now()
-			}
-		})
-	}
-	stop := s.Queue.WatchContext(ctx, 0)
-	defer stop()
-	var doneAt sim.Tick
-	s.Engine.RunEpochs(limit, func(now sim.Tick) bool {
-		if s.Watchdog != nil && s.Watchdog.CheckHosted(now) {
-			return true
-		}
-		total := 0
-		for _, r := range remainingSh {
-			total += r
-		}
-		if total > 0 {
-			return false
-		}
-		for _, t := range lastIRQ {
-			if t > doneAt {
-				doneAt = t
-			}
-		}
-		return true
-	})
-	total := 0
-	for _, r := range remainingSh {
-		total += r
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, total, err
-	}
-	if s.Watchdog != nil {
-		if err := s.Watchdog.Err(); err != nil {
-			return s.Queue.Now(), total, err
-		}
-	}
-	if total > 0 {
-		return s.Queue.Now(), total, nil
-	}
-	return doneAt, 0, nil
-}
-
-// Dispatched returns the dispatched-event total across all shard queues —
-// the number a serial run's single queue reports, regardless of shard
-// count.
-func (s *System) Dispatched() uint64 {
-	var n uint64
-	for _, q := range s.ShardQueues {
-		n += q.Dispatched()
-	}
-	return n
+// stopTick returns the last tick of the memory-crossbar-latency window
+// containing t: where a run whose last accelerator completes at t stops.
+// Running out the window, instead of stopping at t, is the final state that
+// the goldens, StateHash values and checkpoint bytes were pinned with, so
+// moving the stop would change all of them.
+func (s *System) stopTick(t sim.Tick) sim.Tick {
+	return (t/s.memXbarLat+1)*s.memXbarLat - 1
 }

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -282,5 +283,52 @@ func TestScratchpadHoldsPreloadedData(t *testing.T) {
 	}
 	if s.NVDLAWrappers[0].Stats().BytesRead != tr.TotalReadBytes {
 		t.Fatal("data integrity lost with scratchpad path")
+	}
+}
+
+// TestRunNVDLAPhaseStopRule pins the completion stop directly: with two
+// accelerators, RunNVDLAPhase reports the tick T of the last completion
+// interrupt, while the queue runs on to the last tick of T's memory-crossbar
+// latency window (2 cycles at 2 GHz = 1 ns). The goldens, StateHash values
+// and checkpoint bytes all end in that aligned state.
+func TestRunNVDLAPhaseStopRule(t *testing.T) {
+	const window = sim.Nanosecond
+	build := func() *System {
+		cfg := DefaultConfig()
+		cfg.Cores = 1
+		cfg.Memory = "DDR4-1ch"
+		cfg.NVDLAs = 2
+		cfg.NVDLAMaxInflight = 16
+		s := MustBuild(cfg)
+		for i := 0; i < 2; i++ {
+			s.NVDLAs[i].Start()
+			s.PlayTrace(i, smallTrace(uint64(0x1000_0000*(i+1))))
+		}
+		return s
+	}
+	ctx := context.Background()
+	s := build()
+	done, remaining, err := s.RunNVDLAPhase(ctx, sim.Second)
+	if err != nil || remaining != 0 {
+		t.Fatalf("run: remaining=%d err=%v", remaining, err)
+	}
+	if done%window == window-1 {
+		t.Fatalf("completion tick %d already ends its window; pick a config that exercises the run-out", done)
+	}
+	if want := (done/window+1)*window - 1; s.Queue.Now() != want {
+		t.Fatalf("queue stopped at %d, want %d (end of the window holding completion tick %d)", s.Queue.Now(), want, done)
+	}
+	if next, ok := s.Queue.NextEventTick(); ok && next <= s.Queue.Now() {
+		t.Fatalf("event pending at %d, at or before the stop tick %d", next, s.Queue.Now())
+	}
+
+	// done is the last interrupt: one tick earlier an accelerator is still
+	// running, and resuming from there completes at exactly done.
+	s = build()
+	if _, remaining, err := s.RunNVDLAPhase(ctx, done-1); err != nil || remaining == 0 {
+		t.Fatalf("at tick %d: remaining=%d err=%v, want an accelerator still running", done-1, remaining, err)
+	}
+	if got, remaining, err := s.RunNVDLAPhase(ctx, sim.Second); err != nil || remaining != 0 || got != done {
+		t.Fatalf("resumed run: done=%d remaining=%d err=%v, want done=%d", got, remaining, err, done)
 	}
 }

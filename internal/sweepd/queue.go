@@ -151,48 +151,29 @@ type scheduler struct {
 	retry    RetryPolicy
 	poison   *PoisonStore
 	maxQueue int
-	cores    int // core budget shared by serial workers and shard goroutines
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	jobs      map[string]*job
-	jobSeq    int
-	points    map[string]*point // live (non-terminal) points by fingerprint
-	pending   pointHeap
-	timers    map[*point]*time.Timer // retry-wait timers, by point
-	seq       uint64
-	running   int
-	coresBusy int    // sum of running points' core weights
-	delayed   int    // points in retry-wait
-	retries   uint64 // total retries scheduled since boot
-	closed    bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	jobs    map[string]*job
+	jobSeq  int
+	points  map[string]*point // live (non-terminal) points by fingerprint
+	pending pointHeap
+	timers  map[*point]*time.Timer // retry-wait timers, by point
+	seq     uint64
+	running int
+	delayed int    // points in retry-wait
+	retries uint64 // total retries scheduled since boot
+	closed  bool
 }
 
-func newScheduler(poison *PoisonStore, retry RetryPolicy, maxQueue, cores int) *scheduler {
+func newScheduler(poison *PoisonStore, retry RetryPolicy, maxQueue int) *scheduler {
 	s := &scheduler{
 		retry: retry.withDefaults(), poison: poison, maxQueue: maxQueue,
-		cores: cores,
-		jobs:  map[string]*job{}, points: map[string]*point{},
+		jobs: map[string]*job{}, points: map[string]*point{},
 		timers: map[*point]*time.Timer{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// pointWeight is the core demand of one running point: a serial point
-// occupies its worker goroutine, a sharded point (spec.Shards > 1) runs that
-// many shard goroutines concurrently. The clamp mirrors soc.Build's — a
-// build never hosts more than 1+NVDLAs shards — so an over-asked spec is
-// priced at what it will actually use.
-func pointWeight(spec experiments.RunSpec) int {
-	w := spec.Shards
-	if max := 1 + spec.NVDLAs; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // submit registers a job for specs. For every spec (and the ideal baseline of
@@ -319,27 +300,19 @@ func (s *scheduler) clientLivePointsLocked(client string) int {
 
 // next blocks until a pending point is available and claims it, or returns
 // nil when the scheduler closes with an empty queue. Claiming charges one
-// execution attempt and the point's core weight against the budget: a
-// sharded point claims Shards cores, so workers × shards never oversubscribe
-// the pool (worker-vs-shard core budgeting). The heap head is the only
-// candidate — budget pressure delays lower-priority points, it never
-// reorders them — and an idle scheduler always admits the head even when
-// its weight alone exceeds the budget, so an over-wide point degrades to
-// running solo instead of deadlocking.
+// execution attempt.
 func (s *scheduler) next() *point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.pending.Len() > 0 {
-			if w := pointWeight(s.pending[0].spec); s.coresBusy == 0 || s.coresBusy+w <= s.cores {
-				p := heap.Pop(&s.pending).(*point)
-				p.state = pointRunning
-				p.attempts++
-				s.running++
-				s.coresBusy += w
-				return p
-			}
-		} else if s.closed {
+			p := heap.Pop(&s.pending).(*point)
+			p.state = pointRunning
+			p.attempts++
+			s.running++
+			return p
+		}
+		if s.closed {
 			return nil
 		}
 		s.cond.Wait()
@@ -382,7 +355,6 @@ func (s *scheduler) publish(p *point, state pointState, ticks sim.Tick, err erro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	s.coresBusy -= pointWeight(p.spec)
 	p.ticks = ticks
 	p.err = err
 	p.state = state
@@ -414,7 +386,6 @@ func (s *scheduler) requeue(p *point, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	s.coresBusy -= pointWeight(p.spec)
 	s.retries++
 	p.err = err
 	if len(p.jobs) == 0 {
@@ -598,7 +569,6 @@ func pointErrString(p *point) string {
 type schedCounts struct {
 	jobs, active              int
 	pending, running, delayed int
-	coresBusy                 int
 	retries                   uint64
 }
 
@@ -607,7 +577,7 @@ func (s *scheduler) counts() schedCounts {
 	defer s.mu.Unlock()
 	c := schedCounts{
 		jobs: len(s.jobs), pending: s.pending.Len(),
-		running: s.running, coresBusy: s.coresBusy,
+		running: s.running,
 		delayed: s.delayed, retries: s.retries,
 	}
 	for _, j := range s.jobs {
