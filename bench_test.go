@@ -12,11 +12,13 @@ package gem5rtl
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/trace"
 )
 
 // benchDSE keeps per-iteration cost low while preserving shapes.
@@ -56,11 +58,13 @@ func BenchmarkTable2(b *testing.B) {
 		cfg := cfg
 		b.Run(cfg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, err := experiments.RunTable2Config(cfg, 100, 50)
-				if err != nil {
+				var opts []experiments.Option
+				if cfg.Waveform {
+					opts = append(opts, experiments.WithWaveform(io.Discard))
+				}
+				if _, err := experiments.Run(context.Background(), cfg.Spec(100, 50), opts...); err != nil {
 					b.Fatal(err)
 				}
-				_ = cells
 			}
 		})
 	}
@@ -167,7 +171,11 @@ func BenchmarkTable3(b *testing.B) {
 		wl := wl
 		b.Run("standalone-rtl/"+wl, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunStandaloneOnce(wl, benchDSE); err != nil {
+				tr, err := trace.Scaled(wl, 0, benchDSE.Scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := trace.RunStandaloneCtx(context.Background(), tr); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,80 +12,40 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"gem5rtl/internal/experiments"
-	"gem5rtl/internal/obs"
+	"gem5rtl/internal/hostflag"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 )
 
 func main() {
+	host := hostflag.Register("faultcamp")
 	target := flag.String("target", "nvdla", "campaign target: nvdla (memory-path faults) or pmu (RTL state flips)")
 	workload := flag.String("workload", "sanity3", "NVDLA trace: sanity3 or googlenet")
 	scale := flag.Int("scale", 64, "NVDLA trace footprint divisor")
 	nvdlas := flag.Int("nvdla", 1, "number of NVDLA accelerator instances")
-	memName := flag.String("mem", "ideal", "memory: ideal, DDR4-1ch/2ch/4ch, GDDR5, HBM")
+	memName := flag.String("mem", "ideal", "memory for -target nvdla: ideal, DDR4-1ch/2ch/4ch, GDDR5, HBM (the pmu target runs on DDR4-4ch)")
 	inflight := flag.Int("inflight", 64, "per-NVDLA max in-flight memory requests")
 	seed := flag.Uint64("seed", 1, "campaign seed; same seed, same classification table")
 	count := flag.Int("n", 32, "number of fault injections")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines (any count yields the same table)")
 	limitMs := flag.Int("limit-ms", 2000, "per-run simulated time limit in milliseconds")
-	timeout := flag.Duration("timeout", 0, "host wall-clock budget for the whole campaign (0 = none)")
 	checkPorts := flag.Bool("check-ports", false, "also enforce the timing-port protocol during faulted runs")
-	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every injection run with this clock-read cadence (64 is a good default; 0 = off)")
-	selfProfOut := flag.String("self-profile-out", "", "self-profile export file for the campaign aggregate: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
 	verbose := flag.Bool("v", false, "print watchdog/outcome details per injection")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	hostMetrics := flag.String("host-metrics", "", "write periodic host runtime metrics (JSONL) to this file")
 	flag.Parse()
 
 	if *checkPorts {
 		port.Checking = true
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultcamp:", err)
-			os.Exit(1)
-		}
-		defer stop()
-	}
+	ctx := host.Start()
 	r := experiments.Runner{Workers: *parallel}
-	if *hostMetrics != "" {
-		f, err := os.Create(*hostMetrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultcamp:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		r.Monitor = &obs.HostMonitor{W: f}
-	}
 	limit := sim.Tick(*limitMs) * sim.Millisecond
-	var attrMu sync.Mutex
-	var attr prof.Report
-	var sink func(*prof.Report)
-	if *selfProf > 0 {
-		sink = func(rep *prof.Report) {
-			attrMu.Lock()
-			attr.Merge(rep)
-			attrMu.Unlock()
-		}
-	}
 	start := time.Now()
 	var results []experiments.FaultResult
 	var err error
@@ -98,20 +58,23 @@ func main() {
 			},
 			Seed:        *seed,
 			Count:       *count,
-			SelfProfile: *selfProf,
-			AttrSink:    sink,
+			SelfProfile: host.SelfProfile,
+			AttrSink:    host.ProfileSink(),
 		})
 	case "pmu":
+		// The sort benchmark at a campaign-friendly size, PMU interrupting
+		// every 10000 cycles.
 		results, err = r.PMUFaultCampaign(ctx, experiments.PMUCampaign{
-			Seed: *seed, Count: *count, Limit: limit,
-			SelfProfile: *selfProf, AttrSink: sink,
+			Spec: experiments.RunSpec{Memory: "DDR4-4ch", Limit: limit, Program: "sort",
+				N: 60, SleepUs: 10, PMU: true, PMUInterval: 10000},
+			Seed: *seed, Count: *count,
+			SelfProfile: host.SelfProfile, AttrSink: host.ProfileSink(),
 		})
 	default:
 		err = fmt.Errorf("unknown target %q (want nvdla or pmu)", *target)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultcamp:", err)
-		os.Exit(1)
+		host.Fatal(err)
 	}
 
 	fmt.Printf("# %s fault campaign: seed=%d n=%d\n", *target, *seed, *count)
@@ -124,17 +87,9 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Print(experiments.FormatFaultTable(results))
-	if *selfProf > 0 {
-		if err := attr.Export(*selfProfOut, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "faultcamp:", err)
-			os.Exit(1)
-		}
-		if *selfProfOut != "" {
-			fmt.Fprintf(os.Stderr, "# self-profile (campaign aggregate) written to %s\n", *selfProfOut)
-		}
-	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "# %d injections in %s host time (%d workers)\n",
 			len(results), time.Since(start).Round(time.Millisecond), *parallel)
 	}
+	host.Finish()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -78,5 +79,31 @@ func TestInterruptedRunLeavesValidOutputFiles(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("interval-stats line %d is not valid JSON: %v\n%s", i+1, err, line)
 		}
+	}
+}
+
+// TestStatsMatchBaselineGolden runs the CPU+PMU sort command the CI
+// observability job runs and diffs its statistics against the committed
+// golden, so a change of simulated behaviour fails the ordinary test suite
+// and not only CI.
+func TestStatsMatchBaselineGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "stats_baseline.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := buildBinary(t, t.TempDir())
+	cmd := exec.Command(bin, "-cores", "1", "-mem", "DDR4-1ch", "-pmu",
+		"-program", "sort", "-n", "40", "-limit-ms", "200")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("gem5rtl: %v\n%s", err, stderr.Bytes())
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stats differ from testdata/stats_baseline.golden:\n--- got\n%s--- want\n%s", got, want)
 	}
 }

@@ -8,59 +8,36 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/guard"
-	"gem5rtl/internal/obs"
+	"gem5rtl/internal/hostflag"
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 )
 
 func main() {
+	host := hostflag.Register("nvdla-dse")
 	workload := flag.String("workload", "googlenet", "googlenet (Figure 6) or sanity3 (Figure 7)")
 	scale := flag.Int("scale", 8, "trace footprint divisor (1 = full synthetic layers)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the sweep (1 = sequential)")
-	timeout := flag.Duration("timeout", 0, "host wall-clock budget for the whole sweep (0 = none)")
 	ckptAt := flag.Duration("checkpoint-at", 0, "warm-start: snapshot each point at this simulated time and restore it on later runs (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist warm-start snapshots here so they survive across runs (requires -checkpoint-at)")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
 	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine for every point (closure or bytecode; default bytecode; results are engine-independent)")
-	watchdog := flag.Bool("watchdog", false, "attach a liveness watchdog to every cold point so hangs fail fast with a diagnostic (ignored on warm-start runs)")
+	watchdog := flag.Bool("watchdog", false, "attach a liveness watchdog to every point so hangs fail fast with a diagnostic")
 	checkPorts := flag.Bool("check-ports", false, "enforce the timing-port handshake protocol on every bound link (panics on a violation)")
-	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every point with this clock-read cadence (64 is a good default; 0 = off)")
-	selfProfOut := flag.String("self-profile-out", "", "self-profile export file for the sweep-wide aggregate: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	hostMetrics := flag.String("host-metrics", "", "write periodic host runtime metrics (JSONL) to this file")
 	flag.Parse()
 
 	if *checkPorts {
 		port.Checking = true
 	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nvdla-dse:", err)
-			os.Exit(1)
-		}
-		defer stop()
-	}
-
 	p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second, RTLEngine: *rtlEngine}
 	// Shared spec validation: a bad -workload/-scale fails here with the
 	// same message the sweep service's submit endpoint would produce.
@@ -68,26 +45,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nvdla-dse:", err)
 		os.Exit(2)
 	}
-	r := experiments.Runner{Workers: *parallel}
-	var attrMu sync.Mutex
-	var attr prof.Report
-	if *selfProf > 0 {
-		r.SelfProfile = *selfProf
-		r.AttrSink = func(rep *prof.Report) {
-			attrMu.Lock()
-			attr.Merge(rep)
-			attrMu.Unlock()
-		}
-	}
-	if *hostMetrics != "" {
-		f, err := os.Create(*hostMetrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nvdla-dse:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		r.Monitor = &obs.HostMonitor{W: f}
-	}
+	ctx := host.Start()
+	r := experiments.Runner{Workers: *parallel, SelfProfile: host.SelfProfile, AttrSink: host.ProfileSink()}
 	var cache *experiments.CheckpointCache
 	if *ckptAt > 0 {
 		cache = experiments.NewCheckpointCache(*ckptDir)
@@ -103,17 +62,7 @@ func main() {
 	start := time.Now()
 	points, err := r.DSEFigure(ctx, *workload, p)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvdla-dse:", err)
-		os.Exit(1)
-	}
-	if *selfProf > 0 {
-		if err := attr.Export(*selfProfOut, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "nvdla-dse:", err)
-			os.Exit(1)
-		}
-		if *selfProfOut != "" {
-			fmt.Fprintf(os.Stderr, "# self-profile (sweep aggregate) written to %s\n", *selfProfOut)
-		}
+		host.Fatal(err)
 	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "# %d points in %s host time (%d workers)\n",
@@ -137,7 +86,7 @@ func main() {
 			fmt.Printf("  %6d", inf)
 		}
 		fmt.Println()
-		for _, tech := range []string{"DDR4-1ch", "DDR4-2ch", "DDR4-4ch", "GDDR5", "HBM"} {
+		for _, tech := range mem.TechNames() {
 			fmt.Printf("%-10s", tech)
 			for _, inf := range experiments.InflightSweep {
 				for _, pt := range points {
@@ -149,4 +98,5 @@ func main() {
 			fmt.Println()
 		}
 	}
+	host.Finish()
 }

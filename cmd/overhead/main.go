@@ -9,79 +9,50 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"sync"
 
 	"gem5rtl/internal/experiments"
-	"gem5rtl/internal/obs"
-	"gem5rtl/internal/prof"
+	"gem5rtl/internal/hostflag"
 	"gem5rtl/internal/sim"
 )
 
 func main() {
+	host := hostflag.Register("overhead")
 	table := flag.Int("table", 3, "which table to reproduce: 2 or 3")
 	scale := flag.Int("scale", 8, "NVDLA trace footprint divisor (table 3)")
 	parallel := flag.Int("parallel", 1, "worker goroutines (keep 1 for faithful host times)")
-	timeout := flag.Duration("timeout", 0, "host wall-clock budget for the study (0 = none)")
-	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every sweep point with this clock-read cadence (0 = off)")
-	selfProfOut := flag.String("self-profile-out", "", "self-profile export file for the study aggregate: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	hostMetrics := flag.String("host-metrics", "", "write periodic host runtime metrics (JSONL) to this file")
 	flag.Parse()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-	}
-	r := experiments.Runner{Workers: *parallel}
-	var attrMu sync.Mutex
-	var attr prof.Report
-	if *selfProf > 0 {
-		r.SelfProfile = *selfProf
-		r.AttrSink = func(rep *prof.Report) {
-			attrMu.Lock()
-			attr.Merge(rep)
-			attrMu.Unlock()
-		}
-	}
-	if *hostMetrics != "" {
-		f, err := os.Create(*hostMetrics)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r.Monitor = &obs.HostMonitor{W: f}
-	}
-
+	ctx := host.Start()
+	r := experiments.Runner{Workers: *parallel, SelfProfile: host.SelfProfile, AttrSink: host.ProfileSink()}
 	switch *table {
 	case 2:
-		cells, err := r.Table2(ctx, experiments.DefaultTable2Sizes(), 100)
+		sizes := experiments.DefaultTable2Sizes()
+		cells, err := r.Table2(ctx, sizes, 100)
 		if err != nil {
-			fatal(err)
+			host.Fatal(err)
 		}
-		fmt.Println("# Table 2: host time normalised to gem5 without PMU")
-		fmt.Printf("%-22s %8s %10s %10s\n", "config", "size", "host", "overhead")
-		for _, c := range cells {
-			fmt.Printf("%-22s %8d %10s %10.2f\n", c.Config, c.Size,
-				c.HostTime.Round(1e6), c.Overhead)
+		fmt.Println("# Table 2: simulation-time overhead normalised to gem5 without the PMU")
+		fmt.Printf("%-22s", "Configs\\Size")
+		for _, n := range sizes {
+			fmt.Printf("  %8d", n)
+		}
+		fmt.Println()
+		for _, cfg := range experiments.Table2Configs() {
+			fmt.Printf("%-22s", cfg.Name)
+			for _, c := range cells {
+				if c.Config == cfg.Name {
+					fmt.Printf("  %8.2f", c.Overhead)
+				}
+			}
+			fmt.Println()
 		}
 	case 3:
 		rows, err := r.Table3(ctx, experiments.DSEParams{
 			Scale: *scale, Limit: 8 * sim.Second})
 		if err != nil {
-			fatal(err)
+			host.Fatal(err)
 		}
 		fmt.Println("# Table 3: host time normalised to the standalone RTL-model run")
 		fmt.Printf("%-28s %-10s %12s %10s\n", "config", "workload", "host", "overhead")
@@ -90,19 +61,7 @@ func main() {
 				r.HostTime.Round(1e5), r.Overhead)
 		}
 	default:
-		fatal(fmt.Errorf("unknown table %d", *table))
+		host.Fatal(fmt.Errorf("unknown table %d", *table))
 	}
-	if *selfProf > 0 {
-		if err := attr.Export(*selfProfOut, os.Stderr); err != nil {
-			fatal(err)
-		}
-		if *selfProfOut != "" {
-			fmt.Fprintf(os.Stderr, "# self-profile (study aggregate) written to %s\n", *selfProfOut)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "overhead:", err)
-	os.Exit(1)
+	host.Finish()
 }

@@ -1,82 +1,32 @@
 // Command pmurun reproduces the PMU use case (§6.1): it runs the three-sort
-// benchmark on the simulated SoC with the PMU RTL model attached, prints the
-// Figure 5 interval series (PMU vs gem5 IPC and MPKI over time), and — with
-// -table2 — the simulation-time overhead matrix of Table 2.
+// benchmark on the simulated SoC with the PMU RTL model attached and prints
+// the Figure 5 interval series (PMU vs gem5 IPC and MPKI over time). The
+// Table 2 overhead study is `overhead -table 2`.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
 
 	"gem5rtl/internal/experiments"
-	"gem5rtl/internal/obs"
+	"gem5rtl/internal/hostflag"
 )
 
 func main() {
+	host := hostflag.Register("pmurun")
 	n := flag.Int("n", 250, "selection/bubble sort array size (quicksort gets 10x)")
 	sleepUs := flag.Int("sleep-us", 100, "inter-phase sleep in microseconds")
 	interval := flag.Int("interval", 10000, "PMU interrupt period in PMU cycles")
-	table2 := flag.Bool("table2", false, "run the Table 2 overhead study instead of Figure 5")
-	parallel := flag.Int("parallel", 1, "worker goroutines for -table2 (keep 1 for faithful host times)")
-	timeout := flag.Duration("timeout", 0, "host wall-clock budget (0 = none)")
-	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler with this clock-read cadence (64 is a good default; 0 = off; Figure 5 mode only)")
-	selfProfOut := flag.String("self-profile-out", "", "self-profile export file: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	hostMetrics := flag.String("host-metrics", "", "write periodic host runtime metrics (JSONL) to this file")
 	flag.Parse()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmurun:", err)
-			os.Exit(1)
-		}
-		defer stop()
-	}
-	var mon *obs.HostMonitor
-	if *hostMetrics != "" {
-		f, err := os.Create(*hostMetrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmurun:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		mon = &obs.HostMonitor{W: f}
-	}
-
-	if *table2 {
-		runTable2(ctx, *sleepUs, *parallel, mon)
-		return
-	}
-	if mon != nil {
-		mon.Start()
-		defer mon.Stop()
-	}
-
-	p := experiments.Fig5Params{N: *n, SleepUs: *sleepUs, IntervalCycles: *interval,
-		SelfProfile: *selfProf}
-	res, err := experiments.RunFigure5Ctx(ctx, p)
+	ctx := host.Start()
+	res, err := experiments.RunFigure5Ctx(ctx, experiments.Fig5Params{
+		N: *n, SleepUs: *sleepUs, IntervalCycles: *interval, SelfProfile: host.SelfProfile})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmurun:", err)
-		os.Exit(1)
+		host.Fatal(err)
 	}
-	if res.Attr != nil {
-		if err := res.Attr.Export(*selfProfOut, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "pmurun:", err)
-			os.Exit(1)
-		}
-		if *selfProfOut != "" {
-			fmt.Fprintf(os.Stderr, "# self-profile written to %s\n", *selfProfOut)
-		}
+	if sink := host.ProfileSink(); sink != nil {
+		sink(res.Attr)
 	}
 	fmt.Println("# Figure 5: IPC/MPKI over time, PMU counters vs gem5 statistics")
 	fmt.Println("# time_ms  pmu_ipc  gem5_ipc  pmu_mpki  gem5_mpki")
@@ -88,30 +38,5 @@ func main() {
 		res.PMUTotalInsts, res.Gem5TotalInsts,
 		100*(1-float64(res.PMUTotalInsts)/float64(res.Gem5TotalInsts)))
 	fmt.Printf("# simulated %v ticks in %v host time\n", res.SimTicks, res.HostTime)
-}
-
-func runTable2(ctx context.Context, sleepUs, parallel int, mon *obs.HostMonitor) {
-	sizes := experiments.DefaultTable2Sizes()
-	cells, err := experiments.Runner{Workers: parallel, Monitor: mon}.Table2(ctx, sizes, sleepUs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmurun:", err)
-		os.Exit(1)
-	}
-	fmt.Println("# Table 2: simulation-time overhead normalised to gem5 without the PMU")
-	fmt.Printf("%-22s", "Configs\\Size")
-	for _, n := range sizes {
-		fmt.Printf("  %8d", n)
-	}
-	fmt.Println()
-	for _, cfg := range experiments.Table2Configs() {
-		fmt.Printf("%-22s", cfg.Name)
-		for _, n := range sizes {
-			for _, c := range cells {
-				if c.Config == cfg.Name && c.Size == n {
-					fmt.Printf("  %8.2f", c.Overhead)
-				}
-			}
-		}
-		fmt.Println()
-	}
+	host.Finish()
 }

@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gem5rtl/internal/obs"
+	"gem5rtl/internal/hostflag"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
@@ -44,11 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
+		defer hostflag.Pprof("rtlsim", *pprofAddr)()
 	}
 	if flag.NArg() != 1 || *top == "" {
 		fmt.Fprintln(os.Stderr, "usage: rtlsim -top NAME [flags] design.{v,sv,vhd,vhdl}")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func run(memName string) (sim.Tick, error) {
 		return 0, err
 	}
 	s.PlayTrace(0, tr)
-	done, err := s.RunUntilNVDLAsDone(4 * sim.Second)
+	done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), 4*sim.Second)
 	if err != nil {
 		return 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/trace"
 )
@@ -46,12 +47,6 @@ func DefaultDSEParams() DSEParams {
 	return DSEParams{Scale: 8, Limit: 4 * sim.Second}
 }
 
-// buildTrace regenerates the named workload with its footprint divided by
-// scale (ratios between baseline and subject runs are unaffected).
-func buildTrace(workload string, base uint64, scale int) (*trace.Trace, error) {
-	return trace.Scaled(workload, base, scale)
-}
-
 // DSESpecs builds the full Figure 6/7 grid for workload in output order:
 // for each accelerator count and in-flight cap, the ideal baseline followed
 // by each memory technology.
@@ -60,7 +55,7 @@ func DSESpecs(workload string, p DSEParams) []RunSpec {
 	for _, n := range NVDLACounts {
 		for _, inflight := range InflightSweep {
 			specs = append(specs, p.Spec(workload, n, "ideal", inflight))
-			for _, tech := range memTechs() {
+			for _, tech := range mem.TechNames() {
 				specs = append(specs, p.Spec(workload, n, tech, inflight))
 			}
 		}
@@ -93,10 +88,6 @@ func (r Runner) DSEFigure(ctx context.Context, workload string, p DSEParams) ([]
 	return points, nil
 }
 
-func memTechs() []string {
-	return []string{"DDR4-1ch", "DDR4-2ch", "DDR4-4ch", "GDDR5", "HBM"}
-}
-
 // Table3Row is one configuration of the NVDLA simulation-time study.
 type Table3Row struct {
 	Config   string
@@ -116,7 +107,14 @@ type Table3Row struct {
 func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, wl := range []string{"sanity3", "googlenet"} {
-		standalone, err := runStandalone(ctx, wl, p)
+		// The standalone baseline ticks the accelerator wrapper directly
+		// against a zero-latency memory, like running the Verilated model
+		// with its bundled testbench: no SoC, no trace-into-memory load.
+		tr, err := trace.Scaled(wl, 0, p.Scale)
+		if err != nil {
+			return nil, err
+		}
+		standalone, err := trace.RunStandaloneCtx(ctx, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +132,7 @@ func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 				return nil, fmt.Errorf("%v: %w", res.Spec, res.Err)
 			}
 			name := "gem5+NVDLA+perfect-memory"
-			if !res.Spec.isIdeal() {
+			if !res.Spec.IsIdeal() {
 				name = "gem5+NVDLA+DDR4"
 			}
 			rows = append(rows, Table3Row{Config: name, Workload: wl,
@@ -143,20 +141,4 @@ func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// RunStandaloneOnce is the exported single-run entry for benchmarks.
-func RunStandaloneOnce(workload string, p DSEParams) (time.Duration, error) {
-	return runStandalone(context.Background(), workload, p)
-}
-
-// runStandalone ticks the accelerator wrapper directly against a
-// zero-latency memory, like running the Verilated model with its bundled
-// testbench wrapper: no SoC, no trace-into-memory load phase.
-func runStandalone(ctx context.Context, workload string, p DSEParams) (time.Duration, error) {
-	tr, err := trace.Scaled(workload, 0, p.Scale)
-	if err != nil {
-		return 0, err
-	}
-	return trace.RunStandaloneCtx(ctx, tr)
 }

@@ -15,7 +15,6 @@ import (
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/trace"
-	"gem5rtl/internal/workload"
 )
 
 // FaultCampaign configures a seeded NVDLA fault-injection campaign: Count
@@ -98,45 +97,61 @@ type faultRunResult struct {
 	fired bool
 }
 
-// faultRun builds and runs one point with an optional injected fault and a
-// watchdog, returning the output signature and hang state. A nil fault is the
+// faultRun runs one NVDLA campaign point with an optional injected fault
+// and returns the output signature and hang state. A nil fault is the
 // reference run.
 func faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRegion) (faultRunResult, error) {
-	var res faultRunResult
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	spec := c.Spec
-	s, err := buildPoint(spec)
-	if err != nil {
-		return res, err
-	}
-	if c.SelfProfile > 0 {
-		s.AttachSelfProfiler(c.SelfProfile)
-	}
-	wd := s.AttachWatchdog(c.Guard)
-	defer wd.Stop()
-	var tap *guard.PacketFaultTap
-	if f != nil {
+	inject := func(s *soc.System) func() bool {
+		if f == nil {
+			return nil
+		}
 		switch f.Kind {
 		case guard.ReadPayloadFlip, guard.WritePayloadFlip, guard.DropResp, guard.DupResp, guard.DelayResp:
-			tap = &guard.PacketFaultTap{F: *f}
+			tap := &guard.PacketFaultTap{F: *f}
 			dla, pi := f.Link/2, f.Link%2
 			inj := port.Interpose(s.NVDLAs[dla].MemPort(pi), tap)
 			tap.BindDelay(s.Queue, inj)
+			return func() bool { return tap.Fired }
 		case guard.DRAMBitFlip:
 			addr, bit := f.Addr, f.Bit%8
+			fired := false
 			s.Queue.ScheduleOneShotOwned("guard.dram-bit-flip", f.Tick,
 				s.Queue.Owner("guard", "fault-inject"), func() {
 					var b [1]byte
 					s.Store.Read(addr, b[:])
 					b[0] ^= 1 << bit
 					s.Store.Write(addr, b[:])
-					res.fired = true
+					fired = true
 				})
+			return func() bool { return fired }
 		}
+		return func() bool { return false }
 	}
-	_, remaining, runErr := s.RunNVDLAPhase(ctx, spec.Limit)
+	return campaignRun(ctx, c, inject, func(s *soc.System) uint64 { return outputSignature(s, outs) })
+}
+
+// campaignRun executes one campaign run of c.Spec under a watchdog: the
+// system built and set up, inject (which returns whether the fault fired,
+// or nil for the fault-free reference) applied, the spec simulated to its
+// limit, and the architectural output digested by sig. Running out of time
+// with work left is a hang, not an error.
+func campaignRun(ctx context.Context, c FaultCampaign, inject func(*soc.System) func() bool, sig func(*soc.System) uint64) (faultRunResult, error) {
+	var res faultRunResult
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	var o runOpts
+	if c.SelfProfile > 0 {
+		o.profile, o.profEach = true, c.SelfProfile
+	}
+	s, _, err := build(c.Spec, &o, nil)
+	if err != nil {
+		return res, err
+	}
+	wd := s.AttachWatchdog(c.Guard)
+	defer wd.Stop()
+	fired := inject(s)
+	_, left, runErr := phase(ctx, s, c.Spec, c.Spec.Limit)
 	res.end = s.Queue.Now()
 	if runErr != nil {
 		var h *guard.HangError
@@ -145,16 +160,15 @@ func faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRe
 		}
 		res.hang = h
 	}
-	if res.hang == nil && remaining > 0 {
-		res.hang = &guard.HangError{Tick: res.end,
-			Reason: fmt.Sprintf("time limit with %d accelerators still running", remaining)}
+	if res.hang == nil && left > 0 {
+		reason := "time limit before guest exit"
+		if c.Spec.NVDLAs > 0 {
+			reason = fmt.Sprintf("time limit with %d accelerators still running", left)
+		}
+		res.hang = &guard.HangError{Tick: res.end, Reason: reason}
 	}
-	if tap != nil {
-		res.fired = tap.Fired
-	} else if f == nil {
-		res.fired = true
-	}
-	res.sig = outputSignature(s, outs)
+	res.fired = fired == nil || fired()
+	res.sig = sig(s)
 	if c.AttrSink != nil {
 		if rep := prof.FromQueue(s.Queue); rep != nil {
 			c.AttrSink(rep)
@@ -265,7 +279,7 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 	if c.Spec.NVDLAs <= 0 {
 		return nil, fmt.Errorf("experiments: fault campaign needs at least one accelerator")
 	}
-	tr, err := buildTrace(c.Spec.Workload, 0, c.Spec.Scale)
+	tr, err := trace.Scaled(c.Spec.Workload, 0, c.Spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -285,36 +299,41 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 		return nil, fmt.Errorf("experiments: fault-campaign reference run hung: %s", ref.hang.Reason)
 	}
 	faults := genFaults(c, tr, loads, outs, ref.end)
+	return r.injectAll(ctx, faults, ref, func(ctx context.Context, f *guard.Fault) (faultRunResult, error) {
+		return faultRun(ctx, c, f, outsAbs)
+	})
+}
+
+// injectAll runs and classifies every fault against ref on the worker pool.
+// Each injection's own panic recovery maps an integrity-check abort (a
+// simulator panic caused by the fault) to Detected, so a campaign never
+// crashes on a fault the simulator caught.
+func (r Runner) injectAll(ctx context.Context, faults []guard.Fault, ref faultRunResult, run func(context.Context, *guard.Fault) (faultRunResult, error)) ([]FaultResult, error) {
 	results := make([]FaultResult, len(faults))
 	for i := range results {
 		results[i] = FaultResult{Index: i, Fault: faults[i]}
 	}
 	ferr := r.ForEach(ctx, len(faults), func(ctx context.Context, i int) error {
-		results[i] = runFault(ctx, c, i, faults[i], ref, outsAbs)
+		res := &results[i]
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					res.Outcome = guard.Detected
+					res.Detail = fmt.Sprintf("panic: %v", p)
+					res.Err = nil
+				}
+			}()
+			f := faults[i]
+			out, err := run(ctx, &f)
+			if err != nil {
+				res.Err = err
+				return
+			}
+			res.Outcome, res.Detail = classify(out, ref)
+		}()
 		return ctx.Err()
 	})
 	return results, ferr
-}
-
-// runFault executes and classifies one injection. Its own panic recovery maps
-// an integrity-check abort (a simulator panic caused by the fault) to
-// Detected, so a campaign never crashes on a fault the simulator caught.
-func runFault(ctx context.Context, c FaultCampaign, i int, f guard.Fault, ref faultRunResult, outs []memRegion) (res FaultResult) {
-	res = FaultResult{Index: i, Fault: f}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Outcome = guard.Detected
-			res.Detail = fmt.Sprintf("panic: %v", p)
-			res.Err = nil
-		}
-	}()
-	run, err := faultRun(ctx, c, &f, outs)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Outcome, res.Detail = classify(run, ref)
-	return res
 }
 
 // classify maps a faulted run against the reference.
@@ -363,18 +382,14 @@ func FormatFaultTable(results []FaultResult) string {
 }
 
 // PMUCampaign configures a seeded RTL-state fault campaign against the PMU:
-// Count runs of the sort benchmark with the PMU attached, each flipping one
-// seed-selected register or memory bit of the PMU's RTL model at a
-// seed-selected simulated time.
+// Count runs of Spec — a guest-program spec with the PMU attached, such as
+// the sort benchmark — each flipping one seed-selected register or memory
+// bit of the PMU's RTL model at a seed-selected simulated time. The other
+// fields mean what they mean in FaultCampaign.
 type PMUCampaign struct {
+	Spec  RunSpec
 	Seed  uint64
 	Count int
-	// SortN sizes the guest sort benchmark (0 = 60).
-	SortN int
-	// SleepUs separates the benchmark phases (0 = 10).
-	SleepUs int
-	// Limit bounds one run's simulated time (0 = 1 s).
-	Limit sim.Tick
 	Guard guard.Config
 	// SelfProfile and AttrSink mirror FaultCampaign: cadence > 0 attaches the
 	// self-profiler to every run, and AttrSink (called from worker goroutines;
@@ -383,99 +398,49 @@ type PMUCampaign struct {
 	AttrSink    func(*prof.Report)
 }
 
-// pmuRun executes the PMU workload once with an optional RTL state flip.
-func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult, error) {
-	var res faultRunResult
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = true
-	s, err := soc.Build(cfg)
-	if err != nil {
-		return res, err
-	}
-	if c.SelfProfile > 0 {
-		s.AttachSelfProfiler(c.SelfProfile)
-	}
-	host := NewAXIHost(s.Queue)
-	port.Bind(host.Port(), s.PMU.CPUPort(0))
-	s.PMU.Start()
-	host.Write(pmu.RegEnable, 0x3F)
-	host.Write(pmu.RegThreshSel, pmu.EvCycle)
-	host.Write(pmu.RegThreshVal, 10000)
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: c.SortN, SleepUs: c.SleepUs})); err != nil {
-		return res, err
-	}
-	done := false
-	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
-	s.StartCores(0)
-	wd := s.AttachWatchdog(c.Guard)
-	defer wd.Stop()
-	if f != nil {
-		pick := f.Pick
+// pmuRun runs one PMU campaign point with an optional RTL state flip. Its
+// signature is the 20 PMU counters plus the core's committed-instruction
+// count — a flipped counter or a derailed measurement both surface there.
+func pmuRun(ctx context.Context, c FaultCampaign, f *guard.Fault) (faultRunResult, error) {
+	inject := func(s *soc.System) func() bool {
+		if f == nil {
+			return nil
+		}
+		pick, fired := f.Pick, false
 		s.Queue.ScheduleOneShotOwned("guard.rtl-state-flip", f.Tick,
 			s.Queue.Owner("guard", "fault-inject"), func() {
 				s.PMUWrapper.Model().InjectStateFlip(pick)
-				res.fired = true
+				fired = true
 			})
-	} else {
-		res.fired = true
+		return func() bool { return fired }
 	}
-	stop := s.Queue.WatchContext(ctx, 0)
-	defer stop()
-	s.Queue.RunUntil(c.Limit)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	res.end = s.Queue.Now()
-	if werr := wd.Err(); werr != nil {
-		var h *guard.HangError
-		errors.As(werr, &h)
-		res.hang = h
-	} else if !done {
-		res.hang = &guard.HangError{Tick: res.end, Reason: "time limit before guest exit"}
-	}
-	// Signature: the 20 PMU counters plus the core's committed-instruction
-	// count — a flipped counter or a derailed measurement both surface here.
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < pmu.NumCounters; i++ {
-		v := s.PMUWrapper.Counter(i)
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:4])
-	}
-	committed := s.Cores[0].Stats().Committed
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(committed >> (8 * i))
-	}
-	h.Write(buf[:])
-	res.sig = h.Sum64()
-	if c.AttrSink != nil {
-		if rep := prof.FromQueue(s.Queue); rep != nil {
-			c.AttrSink(rep)
+	return campaignRun(ctx, c, inject, func(s *soc.System) uint64 {
+		h := fnv.New64a()
+		var buf [8]byte
+		for i := 0; i < pmu.NumCounters; i++ {
+			v := s.PMUWrapper.Counter(i)
+			buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			h.Write(buf[:4])
 		}
-	}
-	return res, nil
+		committed := s.Cores[0].Stats().Committed
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(committed >> (8 * i))
+		}
+		h.Write(buf[:])
+		return h.Sum64()
+	})
 }
 
 // PMUFaultCampaign runs the configured PMU campaign on the runner's worker
 // pool. Semantics mirror FaultCampaign: one reference run, Count classified
 // single-fault runs, hangs reaped by the watchdog, same seed, same table.
-func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultResult, error) {
+func (r Runner) PMUFaultCampaign(ctx context.Context, pc PMUCampaign) ([]FaultResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.SortN <= 0 {
-		c.SortN = 60
-	}
-	if c.SleepUs <= 0 {
-		c.SleepUs = 10
-	}
-	if c.Limit <= 0 {
-		c.Limit = 1 * sim.Second
+	c := FaultCampaign(pc)
+	if !c.Spec.PMU {
+		return nil, fmt.Errorf("experiments: PMU fault campaign needs a spec with the PMU attached")
 	}
 	ref, err := pmuRun(ctx, c, nil)
 	if err != nil {
@@ -484,34 +449,16 @@ func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultRes
 	if ref.hang != nil {
 		return nil, fmt.Errorf("experiments: PMU fault-campaign reference run hung: %s", ref.hang.Reason)
 	}
-	results := make([]FaultResult, c.Count)
-	for i := range results {
+	faults := make([]guard.Fault, c.Count)
+	for i := range faults {
 		rng := guard.NewRNG(guard.DeriveSeed(c.Seed, i))
-		results[i] = FaultResult{Index: i, Fault: guard.Fault{
+		faults[i] = guard.Fault{
 			Kind: guard.RTLStateFlip,
 			Pick: rng.Uint64(),
 			Tick: 1 + sim.Tick(rng.Uint64n(uint64(ref.end))),
-		}}
+		}
 	}
-	ferr := r.ForEach(ctx, len(results), func(ctx context.Context, i int) error {
-		f := results[i].Fault
-		res := FaultResult{Index: i, Fault: f}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.Outcome = guard.Detected
-					res.Detail = fmt.Sprintf("panic: %v", p)
-				}
-			}()
-			run, err := pmuRun(ctx, c, &f)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			res.Outcome, res.Detail = classify(run, ref)
-		}()
-		results[i] = res
-		return ctx.Err()
+	return r.injectAll(ctx, faults, ref, func(ctx context.Context, f *guard.Fault) (faultRunResult, error) {
+		return pmuRun(ctx, c, f)
 	})
-	return results, ferr
 }

@@ -8,6 +8,7 @@ import (
 
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/trace"
 )
 
 // campSpec is the small deterministic point every fault-campaign test runs.
@@ -20,7 +21,7 @@ func campSpec() RunSpec {
 // what FaultCampaign derives before classifying.
 func campOutputs(t *testing.T) []memRegion {
 	t.Helper()
-	tr, err := buildTrace("sanity3", 0, 64)
+	tr, err := trace.Scaled("sanity3", 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,8 @@ func TestPMUFaultCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("PMU campaign runs several guest programs")
 	}
-	c := PMUCampaign{Seed: 3, Count: 4}
+	c := PMUCampaign{Seed: 3, Count: 4, Spec: RunSpec{Memory: "DDR4-4ch", Limit: sim.Second,
+		Program: "sort", N: 60, SleepUs: 10, PMU: true, PMUInterval: 10000}}
 	a, err := Runner{Workers: 2}.PMUFaultCampaign(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)

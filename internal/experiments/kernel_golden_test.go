@@ -39,7 +39,7 @@ type kernelGoldenEntry struct {
 func runKernelGoldenPoint(t *testing.T, spec RunSpec) kernelGoldenEntry {
 	t.Helper()
 	port.SetPacketIDForTest(0)
-	s, err := buildPoint(spec)
+	s, _, err := build(spec, &runOpts{}, nil)
 	if err != nil {
 		t.Fatalf("%v: build: %v", spec, err)
 	}

@@ -12,13 +12,10 @@ import (
 	"io"
 	"time"
 
-	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
-	"gem5rtl/internal/soc"
-	"gem5rtl/internal/workload"
 )
 
 // AXIHost is the host-side master used to program and read the PMU over its
@@ -103,9 +100,6 @@ type Fig5Params struct {
 	SleepUs int
 	// IntervalCycles is the PMU threshold period (paper: 10000 PMU cycles).
 	IntervalCycles int
-	// Waveform enables PMU VCD tracing into WaveOut.
-	Waveform bool
-	WaveOut  io.Writer
 	// SelfProfile, when > 0, attaches the event-kernel self-profiler (with
 	// this clock-read cadence) and fills Fig5Result.Attr, sub-attributing the
 	// PMU model's comb/seq/memw phases. Profiling is observational: the
@@ -141,36 +135,18 @@ func RunFigure5Ctx(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = true
-	cfg.PMUWaveform = p.Waveform
-	cfg.PMUWaveOut = p.WaveOut
-	s, err := soc.Build(cfg)
+	spec := RunSpec{Memory: "DDR4-4ch", Limit: sim.MaxTick, Program: "sort",
+		N: p.N, SleepUs: p.SleepUs, PMU: true, PMUInterval: p.IntervalCycles}
+	var o runOpts
+	if p.SelfProfile > 0 {
+		o.profile, o.profEach = true, p.SelfProfile
+	}
+	s, host, err := build(spec, &o, nil)
 	if err != nil {
 		return nil, err
 	}
-	if p.SelfProfile > 0 {
-		s.AttachSelfProfiler(p.SelfProfile)
-	}
-	host := NewAXIHost(s.Queue)
-	port.Bind(host.p, s.PMU.CPUPort(0))
-
 	start := time.Now()
-	s.PMU.Start()
-	// Program the PMU: enable commit lines 0-3, the L1D miss line and the
-	// cycle line; interrupt every IntervalCycles cycle events.
-	host.Write(pmu.RegEnable, 0x3F)
-	host.Write(pmu.RegThreshSel, pmu.EvCycle)
-	host.Write(pmu.RegThreshVal, uint32(p.IntervalCycles))
-
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: p.N, SleepUs: p.SleepUs})); err != nil {
-		return nil, err
-	}
 	res := &Fig5Result{}
-	finished := false
-	s.Cores[0].OnExit = func(int64) { finished = true; s.Queue.ExitSimLoop("exit") }
 
 	// Interval sampling on the PMU interrupt.
 	var lastPMU [6]uint32
@@ -182,21 +158,16 @@ func RunFigure5Ctx(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
 			s.Queue.ExitSimLoop("pmu irq")
 		}
 	})
-	s.StartCores(0)
-
-	stop := s.Queue.WatchContext(ctx, 0)
-	defer stop()
-	for !finished {
-		s.Queue.RunUntil(sim.MaxTick)
-		if err := ctx.Err(); err != nil {
+	for {
+		_, left, err := phase(ctx, s, spec, spec.Limit)
+		if err != nil {
 			return nil, err
 		}
-		s.Queue.ClearExit()
 		if !irqPending {
-			if finished {
+			if left == 0 {
 				break
 			}
-			continue
+			return nil, fmt.Errorf("experiments: Figure 5 run drained at tick %d before the guest exited", s.Queue.Now())
 		}
 		irqPending = false
 		// Interrupt handler: read the six counters over AXI (timing).
@@ -229,6 +200,9 @@ func RunFigure5Ctx(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
 		res.Samples = append(res.Samples, sample)
 		lastPMU = cur
 		lastGem5 = nowGem5
+		if left == 0 {
+			break
+		}
 	}
 	s.PMU.Stop()
 	res.HostTime = time.Since(start)
@@ -261,6 +235,17 @@ func Table2Configs() []Table2Config {
 	}
 }
 
+// Spec returns the Table 2 sort-benchmark run of this configuration at size
+// n. The waveform is not part of the spec: a Waveform row adds WithWaveform.
+func (c Table2Config) Spec(n, sleepUs int) RunSpec {
+	spec := RunSpec{Memory: "DDR4-4ch", Limit: sim.MaxTick, Program: "sort",
+		N: n, SleepUs: sleepUs, PMU: c.PMU}
+	if c.PMU {
+		spec.PMUInterval = 10000
+	}
+	return spec
+}
+
 // Table2Cell is one measured configuration x size point.
 type Table2Cell struct {
 	Config   string
@@ -272,12 +257,13 @@ type Table2Cell struct {
 
 // Table2 reproduces Table 2: host wall-clock of the sorting benchmark
 // with and without the PMU RTL model and waveform tracing, over several
-// array sizes, normalised to the PMU-less run. The paper's sizes (3k/30k/
-// 60k) are scaled by the sizes argument (default DefaultTable2Sizes). The
-// (config, size) cells are independent simulations and run on the runner's
-// worker pool; because each cell is a host-time measurement, use Workers =
-// 1 when the absolute overheads matter — concurrent workers share host
-// cores and inflate each other's times.
+// array sizes, normalised to the PMU-less run. Each cell times simulation
+// only (WithSimTime): building and setting up the system are excluded. The
+// paper's sizes (3k/30k/60k) are scaled by the sizes argument (default
+// DefaultTable2Sizes). The (config, size) cells are independent simulations
+// and run on the runner's worker pool; because each cell is a host-time
+// measurement, use Workers = 1 when the absolute overheads matter —
+// concurrent workers share host cores and inflate each other's times.
 func (r Runner) Table2(ctx context.Context, sizes []int, sleepUs int) ([]Table2Cell, error) {
 	type job struct {
 		cfg Table2Config
@@ -291,8 +277,13 @@ func (r Runner) Table2(ctx context.Context, sizes []int, sleepUs int) ([]Table2C
 	}
 	cells := make([]Table2Cell, len(jobs))
 	err := r.ForEach(ctx, len(jobs), func(ctx context.Context, i int) error {
-		elapsed, err := runSortOnce(ctx, jobs[i].n, sleepUs, jobs[i].cfg.PMU, jobs[i].cfg.Waveform)
-		if err != nil {
+		var elapsed time.Duration
+		opts := []Option{WithSimTime(&elapsed)}
+		if jobs[i].cfg.Waveform {
+			// Discarded, but formatted at its full cost.
+			opts = append(opts, WithWaveform(io.Discard))
+		}
+		if _, err := Run(ctx, jobs[i].cfg.Spec(jobs[i].n, sleepUs), opts...); err != nil {
 			return err
 		}
 		cells[i] = Table2Cell{Config: jobs[i].cfg.Name, Size: jobs[i].n, HostTime: elapsed}
@@ -320,62 +311,3 @@ func (r Runner) Table2(ctx context.Context, sizes []int, sleepUs int) ([]Table2C
 // DefaultTable2Sizes scales the paper's 3k/30k/60k (1:10:20) down to
 // simulator-friendly sizes with the same ratios.
 func DefaultTable2Sizes() []int { return []int{60, 600, 1200} }
-
-// RunTable2Config runs a single Table 2 configuration at one size,
-// returning the host time (benchmark entry point).
-func RunTable2Config(cfg Table2Config, n, sleepUs int) (time.Duration, error) {
-	return runSortOnce(context.Background(), n, sleepUs, cfg.PMU, cfg.Waveform)
-}
-
-func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = withPMU
-	var sink countingWriter
-	if waveform {
-		cfg.PMUWaveform = true
-		cfg.PMUWaveOut = &sink
-	}
-	s, err := soc.Build(cfg)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if withPMU {
-		host := NewAXIHost(s.Queue)
-		port.Bind(host.p, s.PMU.CPUPort(0))
-		s.PMU.Start()
-		host.Write(pmu.RegEnable, 0x3F)
-		host.Write(pmu.RegThreshSel, pmu.EvCycle)
-		host.Write(pmu.RegThreshVal, 10000)
-	}
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: n, SleepUs: sleepUs})); err != nil {
-		return 0, err
-	}
-	done := false
-	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
-	s.StartCores(0)
-	watchStop := s.Queue.WatchContext(ctx, 0)
-	defer watchStop()
-	s.Queue.RunUntil(sim.MaxTick)
-	obs.CountEvents(s.Queue.Dispatched())
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if !done {
-		return 0, fmt.Errorf("experiments: sort benchmark (n=%d) did not finish", n)
-	}
-	return time.Since(start), nil
-}
-
-// countingWriter discards VCD output while paying realistic formatting cost.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}

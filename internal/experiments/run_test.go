@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gem5rtl/internal/guard"
@@ -210,5 +212,91 @@ func TestCacheStatsStale(t *testing.T) {
 	cs := cache.Stats()
 	if cs.Stale != 1 || cs.Hits != 0 {
 		t.Errorf("cache stats %+v, want one stale drop and no hits", cs)
+	}
+}
+
+// TestRunProgramSpec runs a guest-program spec (CPU and PMU, no
+// accelerators) through every way Run can split a run — cold, WithSnapshot
+// then WithRestore, and a warm-start miss then hit — and checks that each
+// ends at the same tick with the same full-system state hash: program runs
+// get the restore equivalence NVDLA points have. A sweep normalises the
+// point against its ideal-memory twin like any other.
+func TestRunProgramSpec(t *testing.T) {
+	spec := RunSpec{Memory: "DDR4-1ch", Limit: 50 * sim.Millisecond,
+		Program: "sort", N: 20, SleepUs: 5, PMU: true, PMUInterval: 5000}
+	ctx := context.Background()
+	const at = 20 * sim.Microsecond
+	base := port.PacketIDMark()
+	defer port.SetPacketIDForTest(base)
+	run := func(opts ...Option) (sim.Tick, uint64) {
+		t.Helper()
+		var hash uint64
+		port.SetPacketIDForTest(0)
+		ticks, err := Run(ctx, spec, append(opts, WithStateHash(&hash))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ticks, hash
+	}
+	coldTicks, coldHash := run()
+	if coldTicks <= at {
+		t.Fatalf("guest exited at %d, before the %d split point", coldTicks, at)
+	}
+
+	var snap []byte
+	port.SetPacketIDForTest(0)
+	reached, err := Run(ctx, spec, WithSnapshot(at, func(b []byte) error { snap = b; return nil }))
+	if err != nil || reached != at || len(snap) == 0 {
+		t.Fatalf("snapshot: reached %d (want %d), %d bytes, err %v", reached, at, len(snap), err)
+	}
+	cache := NewCheckpointCache("")
+	for _, c := range []struct {
+		name string
+		opt  Option
+	}{
+		{"restore", WithRestore(snap)},
+		{"warm-miss", WithWarmStart(at, cache)},
+		{"warm-hit", WithWarmStart(at, cache)},
+	} {
+		if ticks, hash := run(c.opt); ticks != coldTicks || hash != coldHash {
+			t.Errorf("%s: tick %d hash %016x, cold run gave %d %016x", c.name, ticks, hash, coldTicks, coldHash)
+		}
+	}
+	if cs := cache.Stats(); cs.Misses != 1 || cs.Hits != 1 {
+		t.Errorf("cache stats %+v, want one miss then one hit", cs)
+	}
+
+	results, err := Runner{Workers: 1}.Sweep(ctx, []RunSpec{spec.Baseline(), spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := results[1]; r.Err != nil || r.Ticks != coldTicks || r.Perf <= 0 || r.Perf > 1 {
+		t.Errorf("swept program point: %+v", r)
+	}
+
+	short := spec
+	short.Limit = at
+	if _, err := Run(ctx, short); err == nil || !strings.Contains(err.Error(), "still running") {
+		t.Errorf("guest still running at the limit: err = %v", err)
+	}
+}
+
+// TestIntervalStatsAcrossSnapshot checks that a run split by a warm-start
+// snapshot writes the same interval-stats series as an unsplit one: the
+// dump event is detached around the save and resumes at the next interval
+// boundary.
+func TestIntervalStatsAcrossSnapshot(t *testing.T) {
+	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 16)
+	ctx := context.Background()
+	var cold, warm bytes.Buffer
+	if _, err := Run(ctx, spec, WithIntervalStats(&cold, 500*sim.Nanosecond, "jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ctx, spec, WithIntervalStats(&warm, 500*sim.Nanosecond, "jsonl"),
+		WithWarmStart(1700*sim.Nanosecond, NewCheckpointCache(""))); err != nil {
+		t.Fatal(err)
+	}
+	if cold.Len() == 0 || !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		t.Errorf("interval series differ across the snapshot:\n--- cold\n%s--- warm\n%s", cold.Bytes(), warm.Bytes())
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"gem5rtl/internal/obs"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 )
@@ -53,10 +52,6 @@ type Runner struct {
 	// so per-point sinks like WithStateHash must not be used here; compose
 	// them on direct Run calls instead. Ignored when Run is set.
 	Options []Option
-	// Monitor, when non-nil, samples host runtime metrics (wall time,
-	// goroutines, heap, aggregate simulated events/sec) for the duration of
-	// each Sweep or ForEach. The caller owns the monitor's output writer.
-	Monitor *obs.HostMonitor
 	// SelfProfile, when > 0, attaches the event-kernel self-profiler to
 	// every non-ideal point (clock-read cadence in dispatches; use
 	// sim.DefaultProfileEvery) and stores each point's attribution report
@@ -120,10 +115,6 @@ func (r Runner) Sweep(ctx context.Context, specs []RunSpec) ([]Result, error) {
 		ctx = context.Background()
 	}
 	run := r.executor()
-	if r.Monitor != nil {
-		r.Monitor.Start()
-		defer r.Monitor.Stop()
-	}
 	results := make([]Result, len(specs))
 	cache := &baselineCache{run: run, entries: map[RunSpec]*baselineEntry{}}
 	idx := make(chan int)
@@ -166,8 +157,8 @@ func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) 
 		}
 		r.say(&res)
 	}()
-	if spec.isIdeal() {
-		res.Ticks, res.HostTime, res.Err = cache.get(ctx, spec.baseline())
+	if spec.IsIdeal() {
+		res.Ticks, res.HostTime, res.Err = cache.get(ctx, spec.Baseline())
 		if res.Err == nil {
 			res.Perf = 1
 		}
@@ -196,7 +187,7 @@ func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) 
 		return res
 	}
 	res.Ticks = t
-	ideal, _, err := cache.get(ctx, spec.baseline())
+	ideal, _, err := cache.get(ctx, spec.Baseline())
 	if err != nil {
 		res.Err = fmt.Errorf("ideal baseline for %v: %w", spec, err)
 		return res
@@ -229,10 +220,6 @@ func (r Runner) say(res *Result) {
 func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if r.Monitor != nil {
-		r.Monitor.Start()
-		defer r.Monitor.Stop()
 	}
 	errs := make([]error, n)
 	runItem := func(i int) (err error) {

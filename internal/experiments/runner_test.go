@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/sim"
 )
 
@@ -141,7 +142,7 @@ func TestSweepBaselinePanicPropagates(t *testing.T) {
 		p.Spec("sanity3", 1, "HBM", 8),
 	}
 	fake := func(ctx context.Context, spec RunSpec) (sim.Tick, error) {
-		if spec.isIdeal() {
+		if spec.IsIdeal() {
 			panic("baseline diverged")
 		}
 		return 2000, nil
@@ -164,7 +165,7 @@ func TestSweepBaselineCacheDedup(t *testing.T) {
 	var specs []RunSpec
 	for _, inflight := range []int{8, 64} {
 		specs = append(specs, p.Spec("sanity3", 1, "ideal", inflight))
-		for _, tech := range memTechs() {
+		for _, tech := range mem.TechNames() {
 			specs = append(specs, p.Spec("sanity3", 1, tech, inflight))
 		}
 	}
@@ -174,7 +175,7 @@ func TestSweepBaselineCacheDedup(t *testing.T) {
 		mu.Lock()
 		calls[spec]++
 		mu.Unlock()
-		if spec.isIdeal() {
+		if spec.IsIdeal() {
 			return 1000, nil
 		}
 		return 4000, nil
@@ -197,7 +198,7 @@ func TestSweepBaselineCacheDedup(t *testing.T) {
 			t.Fatalf("%v: %v", res.Spec, res.Err)
 		}
 		want := 1.0
-		if !res.Spec.isIdeal() {
+		if !res.Spec.IsIdeal() {
 			want = 0.25
 		}
 		if res.Perf != want {
@@ -246,7 +247,7 @@ func TestDSEFigureParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) || len(seq) != 2*(1+len(memTechs())) {
+	if len(seq) != len(par) || len(seq) != 2*(1+len(mem.TechNames())) {
 		t.Fatalf("point counts %d/%d", len(seq), len(par))
 	}
 	for i := range seq {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,23 +31,76 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStrictDecodeRejectsUnknownFields checks an unknown field fails loudly,
-// naming the field, instead of silently running the zero value: a typo, or a
-// field the spec no longer has ("shards").
+// programSpec is a small valid guest-program spec: the CPU+PMU sort run.
+func programSpec() RunSpec {
+	return RunSpec{Memory: "DDR4-1ch", Limit: 200 * sim.Millisecond, Cores: 1,
+		Program: "sort", N: 40, SleepUs: 100, PMU: true}
+}
+
+// TestStrictDecodeRejectsUnknownFields checks decoding plus validation of a
+// submitted spec: an unknown field fails loudly, naming the field, instead of
+// silently running the zero value (a typo, or a field the spec no longer
+// has: "shards"), and so does a known field with a bad value.
 func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
 	for _, c := range []struct {
-		name, input, field string
+		name, input, field string // field "" = the spec is valid
 	}{
 		{"typo", `{"workload":"sanity3","inflght":16}`, "inflght"},
 		{"removed", `{"workload":"sanity3","shards":2}`, "shards"},
+		{"program", `{"memory":"DDR4-1ch","limit":1,"cores":1,"program":"sort","n":40,"sleep_us":100,"pmu":true}`, ""},
+		{"program-typo", `{"memory":"DDR4-1ch","limit":1,"programm":"sort","n":40}`, "programm"},
+		{"program-value", `{"memory":"DDR4-1ch","limit":1,"program":"sortt","n":40}`, "program"},
+		{"no-work", `{"memory":"DDR4-1ch","limit":1}`, "nvdlas"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var spec RunSpec
 			err := json.Unmarshal([]byte(c.input), &spec)
+			if err == nil {
+				err = spec.Validate()
+			}
+			if c.field == "" {
+				if err != nil {
+					t.Errorf("valid spec rejected: %v", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), c.field) {
-				t.Errorf("unknown field %q not rejected: err=%v", c.field, err)
+				t.Errorf("bad field %q not rejected by name: err=%v", c.field, err)
 			}
 		})
+	}
+}
+
+// TestSpecContractPinned pins the canonical bytes, fingerprint and string
+// of three Figure 7 grid points to the values they had before RunSpec grew
+// its program fields: the sweep service's store keys and the benchmark's
+// golden file depend on them, so no NVDLA spec may change its encoding.
+func TestSpecContractPinned(t *testing.T) {
+	specs := DSESpecs("sanity3", DefaultDSEParams())
+	for _, c := range []struct {
+		i              int
+		canon, fp, str string
+	}{
+		{0, `{"workload":"sanity3","nvdlas":1,"memory":"ideal","inflight":1,"scale":8,"limit":4000000000000}`,
+			"af3af0e7456dffcf36e96786e6820a74658b0cbc54f1d7789f3635c5cd3f9f46",
+			"sanity3 n=1 ideal inflight=1 scale=8"},
+		{45, `{"workload":"sanity3","nvdlas":1,"memory":"DDR4-4ch","inflight":240,"scale":8,"limit":4000000000000}`,
+			"7593c18274b7191d3b3a8bcc877a2f560af1326c11803206580c289f6940ab9d",
+			"sanity3 n=1 DDR4-4ch inflight=240 scale=8"},
+		{143, `{"workload":"sanity3","nvdlas":4,"memory":"HBM","inflight":240,"scale":8,"limit":4000000000000}`,
+			"375e219f7811cf66d5df629a0434697d8aedaf1c4a12ee9c184f3080d51f0381",
+			"sanity3 n=4 HBM inflight=240 scale=8"},
+	} {
+		s := specs[c.i]
+		if got := string(s.CanonicalJSON()); got != c.canon {
+			t.Errorf("point %d canonical JSON:\n  got  %s\n  want %s", c.i, got, c.canon)
+		}
+		if got := s.Fingerprint(); got != c.fp {
+			t.Errorf("point %d fingerprint %s, want %s", c.i, got, c.fp)
+		}
+		if got := s.String(); got != c.str {
+			t.Errorf("point %d String %q, want %q", c.i, got, c.str)
+		}
 	}
 }
 
@@ -60,13 +114,21 @@ func TestFingerprint(t *testing.T) {
 	if len(a.Fingerprint()) != 64 {
 		t.Errorf("fingerprint %q is not hex SHA-256", a.Fingerprint())
 	}
-	variants := []RunSpec{a, a, a, a, a, a}
+	p := programSpec()
+	variants := []RunSpec{a, a, a, a, a, a, p, p, p, p, p, p, p, a}
 	variants[0].Workload = "googlenet"
 	variants[1].NVDLAs = 2
 	variants[2].Memory = "HBM"
 	variants[3].Inflight = 64
 	variants[4].Scale = 8
 	variants[5].Limit = 4 * sim.Second
+	variants[7].Cores = 2
+	variants[8].Program = "loop"
+	variants[9].N = 41
+	variants[10].SleepUs = 99
+	variants[11].PMU = false
+	variants[12].PMUInterval = 10000
+	variants[13].Scratchpad = true
 	seen := map[string]bool{a.Fingerprint(): true}
 	for i, v := range variants {
 		fp := v.Fingerprint()
@@ -74,6 +136,12 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("variant %d collides with an earlier fingerprint", i)
 		}
 		seen[fp] = true
+	}
+	// One core is one machine however it is spelled.
+	one, zero := programSpec(), programSpec()
+	zero.Cores = 0
+	if one.Fingerprint() != zero.Fingerprint() {
+		t.Error("cores 1 and cores 0 (one core) have different fingerprints")
 	}
 }
 
@@ -142,6 +210,36 @@ func TestValidate(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not name the offending field as %q", err, tc.want)
+			}
+		})
+	}
+	if err := programSpec().Validate(); err != nil {
+		t.Fatalf("valid program spec rejected: %v", err)
+	}
+	// Every program field fails with a *SpecError naming it.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*RunSpec)
+	}{
+		{"cores", func(s *RunSpec) { s.Cores = 65 }},
+		{"program", func(s *RunSpec) { s.Program = "sortt" }},
+		{"n", func(s *RunSpec) { s.N = 0 }},
+		{"n", func(s *RunSpec) { s.N = 1_000_001 }},
+		{"pmu_interval", func(s *RunSpec) { s.PMUInterval = 1 << 32 }},
+		{"sleep_us", func(s *RunSpec) { s.Program, s.SleepUs = "loop", 5 }},
+		{"pmu_interval", func(s *RunSpec) { s.PMU, s.PMUInterval = false, 10000 }},
+		{"scratchpad", func(s *RunSpec) { s.Scratchpad = true }},
+		{"workload", func(s *RunSpec) { s.Workload = "sanity3" }},
+		{"scale", func(s *RunSpec) { s.Scale = 8 }},
+		{"inflight", func(s *RunSpec) { s.Inflight = -1 }},
+		{"nvdlas", func(s *RunSpec) { s.Program, s.N, s.SleepUs = "", 0, 0 }},
+	} {
+		t.Run("program/"+tc.field, func(t *testing.T) {
+			spec := programSpec()
+			tc.mutate(&spec)
+			var se *SpecError
+			if err := spec.Validate(); !errors.As(err, &se) || se.Field != tc.field {
+				t.Errorf("want a *SpecError for field %q, got %v", tc.field, err)
 			}
 		})
 	}

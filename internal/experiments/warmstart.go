@@ -10,39 +10,8 @@ import (
 	"sync/atomic"
 
 	"gem5rtl/internal/obs"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
-	"gem5rtl/internal/soc"
 )
-
-// specConfig maps a sweep point to its SoC configuration.
-func specConfig(spec RunSpec) soc.Config {
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1 // host cores idle during accelerator runs; keep one for realism
-	cfg.Memory = spec.Memory
-	cfg.NVDLAs = spec.NVDLAs
-	cfg.NVDLAMaxInflight = spec.Inflight
-	cfg.RTLEngine = rtl.Engine(spec.RTLEngine)
-	return cfg
-}
-
-// buildPoint builds and fully sets up one simulation point: accelerators
-// started and each playing its own copy of the workload trace.
-func buildPoint(spec RunSpec) (*soc.System, error) {
-	s, err := soc.Build(specConfig(spec))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < spec.NVDLAs; i++ {
-		s.NVDLAs[i].Start()
-		tr, err := buildTrace(spec.Workload, uint64(i+1)<<32, spec.Scale)
-		if err != nil {
-			return nil, err
-		}
-		s.PlayTrace(i, tr)
-	}
-	return s, nil
-}
 
 // CheckpointCache holds post-warm-up system snapshots keyed by simulation
 // point. The first run of a point populates its entry (taken at the runner's
@@ -128,13 +97,13 @@ func (c *CheckpointCache) key(spec RunSpec, warmup sim.Tick) ckptKey {
 }
 
 // fileName is deterministic in the key so a later process finds the snapshot
-// an earlier one persisted. Stale files (older code, different trace scale)
-// are harmless: soc.Restore rejects them by fingerprint and the point falls
-// back to a cold run that overwrites the file.
+// an earlier one persisted: the key spec's fingerprint (which covers every
+// behaviour-affecting field, program runs included) plus the warm-up tick.
+// Stale files (older code) are harmless: soc.Restore rejects them by
+// fingerprint and the point falls back to a cold run that overwrites the
+// file.
 func (c *CheckpointCache) fileName(k ckptKey) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%s_n%d_%s_if%d_s%d_w%d.ckpt",
-		k.spec.Workload, k.spec.NVDLAs, k.spec.Memory, k.spec.Inflight,
-		k.spec.Scale, k.warmup))
+	return filepath.Join(c.dir, fmt.Sprintf("%s_w%d.ckpt", k.spec.Fingerprint()[:32], k.warmup))
 }
 
 // Persisted snapshot files carry a 12-byte integrity trailer: a CRC-64/ECMA

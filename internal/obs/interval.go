@@ -85,6 +85,14 @@ func (d *IntervalDumper) Stop() {
 	}
 }
 
+// Resume reschedules the dump event after a Stop, continuing the series at
+// the next interval boundary. It is a no-op on a running or closed dumper.
+func (d *IntervalDumper) Resume() {
+	if d.started && !d.closed && !d.ev.Scheduled() {
+		d.q.Schedule(d.ev, d.lastTick+d.interval)
+	}
+}
+
 // Close emits the final partial interval (if simulated time has advanced
 // past the last record) and stops the dumper. After Close, column sums
 // equal end-of-run totals.

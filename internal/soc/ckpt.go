@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/port"
@@ -121,29 +120,6 @@ func (s *System) Restore(in io.Reader) (uint64, error) {
 	}
 	r.Section("soc.end")
 	return tick, r.Err()
-}
-
-// SaveFile checkpoints the system to a file.
-func (s *System) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// RestoreFile loads a checkpoint file into a freshly built system.
-func (s *System) RestoreFile(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return s.Restore(f)
 }
 
 // StateHash digests the full serialised system state — the

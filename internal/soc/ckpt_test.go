@@ -99,7 +99,7 @@ func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 
 			// Uninterrupted reference run.
 			cold := nvdlaSystemN(t, memory, wl, c.nvdlas)
-			coldDone, err := cold.RunUntilNVDLAsDone(limit)
+			coldDone, err := cold.RunUntilNVDLAsDoneCtx(context.Background(), limit)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,14 +27,14 @@ func buildGuardTestSystem(t *testing.T) *System {
 // completes at the exact tick of an unwatched run, with a nil Err.
 func TestWatchdogTransparentOnCleanRun(t *testing.T) {
 	plain := buildGuardTestSystem(t)
-	wantDone, err := plain.RunUntilNVDLAsDone(100 * sim.Millisecond)
+	wantDone, err := plain.RunUntilNVDLAsDoneCtx(context.Background(), 100*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s := buildGuardTestSystem(t)
 	wd := s.AttachWatchdog(guard.Config{})
-	done, err := s.RunUntilNVDLAsDone(100 * sim.Millisecond)
+	done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), 100*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

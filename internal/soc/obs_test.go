@@ -127,7 +127,7 @@ func TestLatencyProfileCheckpointEquivalence(t *testing.T) {
 
 	cold := nvdlaSystem(t, "DDR4-1ch", "sanity3")
 	cold.AttachLatencyProfile(nil)
-	coldDone, err := cold.RunUntilNVDLAsDone(limit)
+	coldDone, err := cold.RunUntilNVDLAsDoneCtx(context.Background(), limit)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,11 +349,6 @@ func (s *System) LoadProgram(core int, asmSrc string) error {
 	return nil
 }
 
-// PreloadMem writes data directly into backing store (trace/image loading).
-func (s *System) PreloadMem(addr uint64, data []byte) {
-	s.Store.Write(addr, data)
-}
-
 // StartCores begins execution on every core that has a program loaded.
 func (s *System) StartCores(cores ...int) {
 	if len(cores) == 0 {
@@ -377,7 +372,7 @@ func (s *System) PlayTrace(idx int, t *trace.Trace) {
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case trace.OpLoadMem:
-			s.PreloadMem(op.Addr, op.Data)
+			s.Store.Write(op.Addr, op.Data)
 		case trace.OpWriteReg:
 			w.WriteReg(op.Addr, op.Val)
 		case trace.OpStart:
@@ -388,18 +383,12 @@ func (s *System) PlayTrace(idx int, t *trace.Trace) {
 	}
 }
 
-// RunUntilNVDLAsDone starts the accelerators and simulates until every
-// instance raises its completion interrupt (or the limit passes). It
-// returns the completion time.
-func (s *System) RunUntilNVDLAsDone(limit sim.Tick) (sim.Tick, error) {
-	return s.RunUntilNVDLAsDoneCtx(context.Background(), limit)
-}
-
-// RunUntilNVDLAsDoneCtx is RunUntilNVDLAsDone with host-side cancellation:
-// a periodic check event (see sim.WatchContext) ends the simulation loop
-// and returns ctx.Err() once ctx is cancelled or its deadline passes. The
-// watcher only observes the context, so an uncancelled run completes at
-// tick-identical times to RunUntilNVDLAsDone.
+// RunUntilNVDLAsDoneCtx simulates until every accelerator raises its
+// completion interrupt and returns the completion time; the limit passing
+// first is an error. A periodic check event (see sim.WatchContext) ends the
+// simulation loop and returns ctx.Err() once ctx is cancelled or its
+// deadline passes; the watcher only observes the context, so an uncancelled
+// run completes at tick-identical times to one without it.
 func (s *System) RunUntilNVDLAsDoneCtx(ctx context.Context, limit sim.Tick) (sim.Tick, error) {
 	done, remaining, err := s.RunNVDLAPhase(ctx, limit)
 	if err != nil {

@@ -150,7 +150,7 @@ func TestNVDLATraceOnIdealMemory(t *testing.T) {
 	s.NVDLAs[0].Start()
 	tr := smallTrace(0x1000_0000)
 	s.PlayTrace(0, tr)
-	done, err := s.RunUntilNVDLAsDone(100 * sim.Millisecond)
+	done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), 100*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestNVDLAFasterOnIdealThanDDR1ch(t *testing.T) {
 		s := MustBuild(cfg)
 		s.NVDLAs[0].Start()
 		s.PlayTrace(0, smallTrace(0x1000_0000))
-		done, err := s.RunUntilNVDLAsDone(sim.Second)
+		done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), sim.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestMultipleNVDLAsContend(t *testing.T) {
 			s.NVDLAs[i].Start()
 			s.PlayTrace(i, smallTrace(uint64(0x1000_0000*(i+1))))
 		}
-		done, err := s.RunUntilNVDLAsDone(sim.Second)
+		done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), sim.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestScratchpadExtensionSpeedsUpSRAMIF(t *testing.T) {
 		s := MustBuild(cfg)
 		s.NVDLAs[0].Start()
 		s.PlayTrace(0, smallTrace(0x1000_0000))
-		done, err := s.RunUntilNVDLAsDone(sim.Second)
+		done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), sim.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestScratchpadHoldsPreloadedData(t *testing.T) {
 	s.NVDLAs[0].Start()
 	tr := smallTrace(0x2000_0000)
 	s.PlayTrace(0, tr)
-	if _, err := s.RunUntilNVDLAsDone(sim.Second); err != nil {
+	if _, err := s.RunUntilNVDLAsDoneCtx(context.Background(), sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The weight stream (1/3 of reads) went through the scratchpad.

@@ -53,11 +53,3 @@ func RunStandaloneCtx(ctx context.Context, t *Trace) (time.Duration, error) {
 	}
 	return time.Since(start), nil
 }
-
-// RunStandalone is RunStandaloneCtx without cancellation.
-//
-// Deprecated: use RunStandaloneCtx.
-func RunStandalone(t *Trace) time.Duration {
-	d, _ := RunStandaloneCtx(context.Background(), t)
-	return d
-}

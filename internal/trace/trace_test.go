@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"gem5rtl/internal/nvdla"
@@ -88,8 +89,9 @@ func TestRunStandaloneCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := RunStandalone(tr); d <= 0 {
-		t.Fatalf("standalone run took %v", d)
+	d, err := RunStandaloneCtx(context.Background(), tr)
+	if err != nil || d <= 0 {
+		t.Fatalf("standalone run took %v (err %v)", d, err)
 	}
 }
 
