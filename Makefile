@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check doccheck
+.PHONY: all build test bench bench-check perfbench-check doccheck
 
 all: build
 
@@ -21,6 +21,12 @@ bench:
 # baseline (allocs/op, B/op, calendar-queue and RTL compile speedups).
 bench-check:
 	$(GO) run ./cmd/kernelbench -baseline BENCH_kernel.json
+
+# perfbench/ is its own module, so build and test above never compile it.
+# Vet and test it here so a change that breaks a name it uses fails before
+# the benchmark does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Enforce godoc comments on every exported symbol of the kernel packages,
 # then audit that every command-line flag the binaries register is documented

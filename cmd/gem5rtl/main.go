@@ -40,7 +40,6 @@ func main() {
 	program := flag.String("program", "sort", "guest program: sort, loop, stream, none")
 	n := flag.Int("n", 200, "workload size parameter")
 	withPMU := flag.Bool("pmu", false, "attach the PMU RTL model to core 0")
-	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine: closure or bytecode (default bytecode; results are engine-independent)")
 	nvdlas := flag.Int("nvdla", 0, "number of NVDLA accelerator instances")
 	inflight := flag.Int("inflight", 64, "per-NVDLA max in-flight memory requests")
 	dlaWorkload := flag.String("dla-workload", "sanity3", "NVDLA trace: sanity3 or googlenet")
@@ -69,7 +68,7 @@ func main() {
 	ctx := host.Start()
 
 	spec := experiments.RunSpec{Memory: *memName, Inflight: *inflight,
-		Limit: sim.Tick(*limitMs) * sim.Millisecond, Cores: *cores, PMU: *withPMU, RTLEngine: *rtlEngine}
+		Limit: sim.Tick(*limitMs) * sim.Millisecond, Cores: *cores, PMU: *withPMU}
 	if *nvdlas > 0 {
 		spec.Workload, spec.NVDLAs, spec.Scale, spec.Scratchpad = *dlaWorkload, *nvdlas, *dlaScale, *scratchpad
 	}

@@ -10,6 +10,8 @@ import (
 
 // pooledDriver is a minimal cache master that recycles every response,
 // mirroring how the CPU core uses the cache after the pooling overhaul.
+// The alloc rigs bind with port.BindUnchecked: a protocol checker allocates
+// per packet, and the bounds are on the unchecked hot path simulations run.
 type pooledDriver struct {
 	pool port.PacketPool
 	p    *port.RequestPort
@@ -33,10 +35,10 @@ func TestCacheHitPathAllocs(t *testing.T) {
 	c := New(l1Config(), q)
 	store := mem.NewStorage()
 	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
-	port.Bind(c.MemPort(), m.Port())
+	port.BindUnchecked(c.MemPort(), m.Port())
 	d := &pooledDriver{}
 	d.p = port.NewRequestPort("drv", d)
-	port.Bind(d.p, c.CPUPort())
+	port.BindUnchecked(d.p, c.CPUPort())
 
 	hit := func() {
 		pkt := d.pool.GetRead(0x100, 8)
@@ -68,10 +70,10 @@ func TestCacheMissPathAllocs(t *testing.T) {
 	c := New(cfg, q)
 	store := mem.NewStorage()
 	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
-	port.Bind(c.MemPort(), m.Port())
+	port.BindUnchecked(c.MemPort(), m.Port())
 	d := &pooledDriver{}
 	d.p = port.NewRequestPort("drv", d)
-	port.Bind(d.p, c.CPUPort())
+	port.BindUnchecked(d.p, c.CPUPort())
 
 	// Walk a strided footprint larger than the cache so every access past
 	// the warm-up round misses and (after one full pass) evicts.

@@ -44,15 +44,6 @@ type Stats struct {
 	MSHRStalls  uint64
 }
 
-// MissRate returns misses / accesses.
-func (s *Stats) MissRate() float64 {
-	tot := s.Hits + s.Misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(tot)
-}
-
 type line struct {
 	tag        uint64
 	valid      bool

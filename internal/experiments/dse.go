@@ -37,9 +37,6 @@ type DSEParams struct {
 	Scale int
 	// Limit bounds one run's simulated time.
 	Limit sim.Tick
-	// RTLEngine selects the RTL simulation engine for every point of the
-	// sweep (empty = production default). Results are engine-independent.
-	RTLEngine string
 }
 
 // DefaultDSEParams returns the standard scaled configuration.

@@ -9,8 +9,8 @@ import (
 // FuzzRunSpec feeds arbitrary bytes to the strict RunSpec decoder. Decoding
 // must never panic, and every spec it accepts that also passes Validate must
 // survive a round trip through its canonical encoding: the same spec up to
-// the fields the canonical encoding normalises by design (the RTL engine,
-// one core spelled 0) and the same fingerprint.
+// the field the canonical encoding normalises by design (one core spelled
+// 0) and the same fingerprint.
 func FuzzRunSpec(f *testing.F) {
 	f.Add(validSpec().CanonicalJSON())
 	f.Add(programSpec().CanonicalJSON())

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"gem5rtl/internal/port"
+	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/soc"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -121,27 +123,47 @@ func readKernelGolden(t *testing.T) []kernelGoldenEntry {
 	return want
 }
 
-// TestShardedCrossEngine crosses the grid with the non-default RTL
-// execution engine: the closure engine must reproduce the goldens on one
-// point per in-flight band, because the engine is an execution strategy,
-// not a modelling choice. (The name dates from when the check also crossed
-// engines with sharded builds; the simulator now runs serially only.)
+// TestShardedCrossEngine runs a PMU program spec — the only SoC run that
+// compiles RTL — on the closure reference engine (through
+// soc.UseClosureEngineForTest) and on the production bytecode engine: both
+// must end at the same tick with the same full-system StateHash, because
+// the engine is an execution strategy, not a modelling choice. (The name
+// dates from when the check also crossed engines with sharded builds; the
+// simulator now runs serially only.)
 func TestShardedCrossEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("not -short friendly")
 	}
+	spec := RunSpec{Memory: "DDR4-1ch", Limit: 50 * sim.Millisecond,
+		Program: "sort", N: 20, SleepUs: 5, PMU: true, PMUInterval: 500}
 	base := port.PacketIDMark()
 	defer port.SetPacketIDForTest(base)
-	want := readKernelGolden(t)
-	specs := kernelGoldenSpecs()
+	run := func(closure bool) (sim.Tick, uint64) {
+		t.Helper()
+		soc.UseClosureEngineForTest(closure)
+		defer soc.UseClosureEngineForTest(false)
+		port.SetPacketIDForTest(0)
+		var hash uint64
+		var engine rtl.Engine
+		ticks, err := Run(context.Background(), spec, WithStateHash(&hash),
+			WithSystem(func(s *soc.System) error { engine = s.PMUWrapper.Model().Engine(); return nil }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rtl.EngineBytecode
+		if closure {
+			want = rtl.EngineClosure
+		}
+		if engine != want {
+			t.Fatalf("PMU ran on the %s engine, want %s", engine, want)
+		}
+		return ticks, hash
+	}
 	t.Run("closure", func(t *testing.T) {
-		for _, i := range []int{0, 5, 11} {
-			spec := specs[i]
-			spec.RTLEngine = "closure"
-			if got := runKernelGoldenPoint(t, spec); got != want[i] {
-				t.Errorf("closure engine diverged on %s:\n  got  ticks=%d hash=%s\n  want ticks=%d hash=%s",
-					got.Spec, got.Ticks, got.Hash, want[i].Ticks, want[i].Hash)
-			}
+		wantTicks, wantHash := run(false)
+		if ticks, hash := run(true); ticks != wantTicks || hash != wantHash {
+			t.Errorf("closure engine diverged on %s:\n  got  ticks=%d hash=%016x\n  want ticks=%d hash=%016x",
+				spec, ticks, hash, wantTicks, wantHash)
 		}
 	})
 }

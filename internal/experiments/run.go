@@ -12,7 +12,6 @@ import (
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/prof"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/stats"
@@ -287,7 +286,6 @@ func build(spec RunSpec, o *runOpts, snapshot []byte) (*soc.System, *AXIHost, er
 	cfg.Cores = max(spec.Cores, 1)
 	cfg.Memory = spec.Memory
 	cfg.WithPMU = spec.PMU
-	cfg.RTLEngine = rtl.Engine(spec.RTLEngine)
 	cfg.NVDLAs = spec.NVDLAs
 	cfg.NVDLAMaxInflight = spec.Inflight
 	cfg.NVDLAScratchpad = spec.Scratchpad

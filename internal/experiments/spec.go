@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"gem5rtl/internal/mem"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 )
 
@@ -51,12 +50,6 @@ type RunSpec struct {
 	// Scratchpad hooks each accelerator's SRAMIF to a private on-chip
 	// scratchpad (paper §4.2 extension).
 	Scratchpad bool `json:"scratchpad,omitempty"`
-	// RTLEngine selects the RTL simulation engine ("closure" or
-	// "bytecode"; empty = the production default). Engines are
-	// dispatch-identical, so this field is an execution-strategy knob: it
-	// is excluded from the canonical encoding and the fingerprint, and two
-	// specs differing only in engine are the same simulation point.
-	RTLEngine string `json:"rtl_engine,omitempty"`
 }
 
 // String renders the spec for progress lines and error messages.
@@ -185,21 +178,7 @@ func (s RunSpec) Validate() error {
 	if s.PMUInterval < 0 || int64(s.PMUInterval) > math.MaxUint32 || (s.PMUInterval > 0 && !s.PMU) {
 		return bad("pmu_interval", s.PMUInterval, "0..2^32-1 PMU cycles (the 32-bit threshold register), and 0 without pmu")
 	}
-	if s.RTLEngine != "" {
-		if _, err := rtl.ParseEngine(s.RTLEngine); err != nil {
-			return bad("rtl_engine", s.RTLEngine, "one of "+engineNames())
-		}
-	}
 	return nil
-}
-
-// engineNames lists the registered RTL engines for error messages.
-func engineNames() string {
-	var names []string
-	for _, e := range rtl.Engines() {
-		names = append(names, string(e))
-	}
-	return strings.Join(names, ", ")
 }
 
 // runSpecJSON mirrors RunSpec for strict decoding without recursing into
@@ -218,7 +197,6 @@ type runSpecJSON struct {
 	PMU         bool     `json:"pmu,omitempty"`
 	PMUInterval int      `json:"pmu_interval,omitempty"`
 	Scratchpad  bool     `json:"scratchpad,omitempty"`
-	RTLEngine   string   `json:"rtl_engine,omitempty"`
 }
 
 // UnmarshalJSON decodes a spec strictly: an unknown field is an error, so a
@@ -235,13 +213,10 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// canonical returns the spec with every field that does not change the
-// simulated machine normalised: engines are dispatch-identical, so the
-// execution-strategy knob is dropped, and one core is spelled 0. Specs that
-// differ only in those fields share a canonical encoding, a fingerprint and
-// a result-store entry.
+// canonical returns the spec with one core spelled 0, as it is spelled
+// when the field is left out. Specs that differ only in that spelling share
+// a canonical encoding, a fingerprint and a result-store entry.
 func (s RunSpec) canonical() RunSpec {
-	s.RTLEngine = ""
 	if s.Cores == 1 {
 		s.Cores = 0
 	}
@@ -288,6 +263,5 @@ func ParseSpecs(data []byte) ([]RunSpec, error) {
 // Spec converts a DSEParams-era positional call into a RunSpec.
 func (p DSEParams) Spec(workload string, nDLA int, memory string, inflight int) RunSpec {
 	return RunSpec{Workload: workload, NVDLAs: nDLA, Memory: memory,
-		Inflight: inflight, Scale: p.Scale, Limit: p.Limit,
-		RTLEngine: p.RTLEngine}
+		Inflight: inflight, Scale: p.Scale, Limit: p.Limit}
 }

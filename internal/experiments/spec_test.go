@@ -47,6 +47,7 @@ func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
 	}{
 		{"typo", `{"workload":"sanity3","inflght":16}`, "inflght"},
 		{"removed", `{"workload":"sanity3","shards":2}`, "shards"},
+		{"removed-engine", `{"workload":"sanity3","nvdlas":1,"memory":"ideal","inflight":16,"scale":32,"limit":1,"rtl_engine":"closure"}`, "rtl_engine"},
 		{"program", `{"memory":"DDR4-1ch","limit":1,"cores":1,"program":"sort","n":40,"sleep_us":100,"pmu":true}`, ""},
 		{"program-typo", `{"memory":"DDR4-1ch","limit":1,"programm":"sort","n":40}`, "programm"},
 		{"program-value", `{"memory":"DDR4-1ch","limit":1,"program":"sortt","n":40}`, "program"},
@@ -142,42 +143,6 @@ func TestFingerprint(t *testing.T) {
 	zero.Cores = 0
 	if one.Fingerprint() != zero.Fingerprint() {
 		t.Error("cores 1 and cores 0 (one core) have different fingerprints")
-	}
-}
-
-// TestRTLEngineExcludedFromFingerprint checks the engine knob is pure
-// execution strategy: it decodes strictly, it validates, and it never
-// reaches the canonical bytes or the fingerprint — two specs differing only
-// in engine are one simulation point and share baselines and result-store
-// entries.
-func TestRTLEngineExcludedFromFingerprint(t *testing.T) {
-	base := validSpec()
-	closure, bytecode := base, base
-	closure.RTLEngine = "closure"
-	bytecode.RTLEngine = "bytecode"
-	if base.Fingerprint() != closure.Fingerprint() || base.Fingerprint() != bytecode.Fingerprint() {
-		t.Error("engine choice changed the fingerprint")
-	}
-	if string(closure.CanonicalJSON()) != string(base.CanonicalJSON()) {
-		t.Errorf("engine leaked into canonical bytes: %s", closure.CanonicalJSON())
-	}
-	for _, s := range []RunSpec{closure, bytecode} {
-		if err := s.Validate(); err != nil {
-			t.Errorf("engine %q rejected: %v", s.RTLEngine, err)
-		}
-	}
-	bad := base
-	bad.RTLEngine = "jit"
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "jit") {
-		t.Errorf("unknown engine not rejected by name: err=%v", err)
-	}
-	// The strict decoder accepts the field and carries it through.
-	var back RunSpec
-	if err := json.Unmarshal([]byte(`{"workload":"sanity3","nvdlas":1,"memory":"ideal","inflight":16,"scale":32,"limit":1,"rtl_engine":"closure"}`), &back); err != nil {
-		t.Fatalf("strict decode rejected rtl_engine: %v", err)
-	}
-	if back.RTLEngine != "closure" {
-		t.Errorf("rtl_engine not decoded: %+v", back)
 	}
 }
 

@@ -90,9 +90,6 @@ func (c *CheckpointCache) Len() int {
 
 func (c *CheckpointCache) key(spec RunSpec, warmup sim.Tick) ckptKey {
 	spec.Limit = 0
-	// Checkpoints are engine-portable (same state layout, same
-	// fingerprint), so a prefix warmed under one engine serves all.
-	spec.RTLEngine = ""
 	return ckptKey{spec, warmup}
 }
 

@@ -62,8 +62,3 @@ func (s *Storage) Write(addr uint64, buf []byte) {
 		n += chunk
 	}
 }
-
-// AllocatedBytes reports how much backing store has been touched.
-func (s *Storage) AllocatedBytes() uint64 {
-	return uint64(len(s.pages)) << s.pageBits
-}

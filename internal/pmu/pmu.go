@@ -22,10 +22,6 @@ import (
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/verilog"
-
-	// Link in the optimizing bytecode engine so every PMU user can select
-	// it by name (rtl.EngineBytecode).
-	_ "gem5rtl/internal/rtlc"
 )
 
 // NumCounters matches Table 1: 20 32-bit counters.
@@ -136,13 +132,8 @@ endmodule
 	return b.String()
 }
 
-// CompileModel runs the Verilog toolflow on the generated PMU source using
-// the closure reference engine.
-func CompileModel(nc int) (*rtl.Model, error) {
-	return CompileModelEngine(nc, rtl.EngineClosure)
-}
-
-// CompileModelEngine is CompileModel with an explicit simulation engine.
+// CompileModelEngine runs the Verilog toolflow on the generated PMU source
+// for the named simulation engine (see rtlc.CompileEngine).
 func CompileModelEngine(nc int, engine rtl.Engine) (*rtl.Model, error) {
 	return verilog.CompileEngine(VerilogSource(nc), "pmu", nil, engine)
 }
@@ -182,13 +173,14 @@ type Wrapper struct {
 	prevIrq bool
 }
 
-// NewWrapper compiles the PMU RTL with the closure reference engine and
+// NewWrapper compiles the PMU RTL on the production bytecode engine and
 // builds its wrapper.
 func NewWrapper(nc int) (*Wrapper, error) {
-	return NewWrapperEngine(nc, rtl.EngineClosure)
+	return NewWrapperEngine(nc, rtl.EngineBytecode)
 }
 
-// NewWrapperEngine is NewWrapper with an explicit simulation engine.
+// NewWrapperEngine is NewWrapper on a named engine; tests use it to run the
+// closure reference engine.
 func NewWrapperEngine(nc int, engine rtl.Engine) (*Wrapper, error) {
 	m, err := CompileModelEngine(nc, engine)
 	if err != nil {

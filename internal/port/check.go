@@ -87,7 +87,9 @@ func BindChecked(req *RequestPort, resp *ResponsePort) *Checker {
 // Checking flag is set. It exists for white-box test rigs that inject traffic
 // around the port API (calling RecvTimingReq on a component directly, or
 // scheduling fabricated responses into a queue): a checker would flag their
-// responses as unanswered requests. Simulation wiring should use Bind.
+// responses as unanswered requests. Allocation tests use it too, because
+// the checker allocates per packet and they bound the unchecked hot path.
+// Simulation wiring should use Bind.
 func BindUnchecked(req *RequestPort, resp *ResponsePort) {
 	bindRaw(req, resp)
 }

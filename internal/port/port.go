@@ -83,9 +83,6 @@ func bindRaw(req *RequestPort, resp *ResponsePort) {
 // Name returns the port name.
 func (p *RequestPort) Name() string { return p.name }
 
-// Bound reports whether the port has a peer.
-func (p *RequestPort) Bound() bool { return p.peer != nil }
-
 // Peer returns the connected response port (nil if unbound).
 func (p *RequestPort) Peer() *ResponsePort { return p.peer }
 
@@ -131,9 +128,6 @@ func (p *RequestPort) SendFunctional(pkt *Packet) {
 
 // Name returns the port name.
 func (p *ResponsePort) Name() string { return p.name }
-
-// Bound reports whether the port has a peer.
-func (p *ResponsePort) Bound() bool { return p.peer != nil }
 
 // Peer returns the connected request port (nil if unbound).
 func (p *ResponsePort) Peer() *RequestPort { return p.peer }

@@ -1,37 +1,29 @@
 package rtl
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Engine names a Model evaluation engine. The package has one built-in
-// engine, EngineClosure — the closure-compiled reference evaluator — and
-// accepts additional engines through RegisterEngine (internal/rtlc registers
-// EngineBytecode, the optimizing bytecode compiler + register-machine VM).
-// Engines are behaviourally interchangeable: every engine must be bit-exact
-// against the closure reference on all architectural state (signal values,
-// memories, cycle counter), so VCD traces, checkpoints, StateHash digests and
+// Engine names a Model evaluation engine. There are two: EngineBytecode,
+// the production engine every simulation runs (internal/rtlc), and
+// EngineClosure, the closure-compiled reference evaluator built into this
+// package that tests and the kernel benchmark compare it against. The two
+// are bit-exact on all architectural state (signal values, memories, cycle
+// counter), so VCD traces, checkpoints, StateHash digests and
 // fault-injection campaigns are engine-independent.
 type Engine string
 
-// The engine names accepted by CompileEngine. An empty Engine selects the
-// closure reference engine.
+// The engine names.
 const (
-	// EngineClosure is the built-in reference engine: every expression tree
-	// is lowered to a tree of Go closures at compile time. It anchors the
-	// bit-exactness of every other engine, the way NewReferenceEventQueue
-	// anchors the calendar queue.
+	// EngineClosure is the reference engine (Compile): every expression
+	// tree is lowered to a tree of Go closures at compile time. It anchors
+	// the bit-exactness of the bytecode engine, the way
+	// NewReferenceEventQueue anchors the calendar queue.
 	EngineClosure Engine = "closure"
 	// EngineBytecode is the optimizing bytecode compiler + register-machine
-	// VM implemented by internal/rtlc. Selecting it requires that package to
-	// be linked into the binary (it registers itself in an init function;
-	// importing internal/rtlc, directly or blank, is enough).
+	// VM implemented by internal/rtlc (rtlc.CompileEngine), which builds
+	// its Model through CompileBackend.
 	EngineBytecode Engine = "bytecode"
 )
 
-// Backend is a pluggable per-cycle evaluation core behind a Model. The Model
+// Backend is the per-cycle evaluation core of a non-reference engine (the
+// bytecode VM of internal/rtlc), installed by CompileBackend. The Model
 // keeps ownership of the architectural state surface (Peek/SetInput, VCD,
 // checkpoints, fault injection); the backend owns how that state advances.
 //
@@ -66,55 +58,6 @@ type Backend interface {
 	Invalidate()
 	// Skipped counts sequential updates elided by activity gating.
 	Skipped() uint64
-}
-
-// EngineBuilder constructs a Backend for a validated circuit. mems is the
-// Model's memory storage (one word slice per circuit memory), which the
-// backend must share — memory state, like Vals, has a single copy.
-type EngineBuilder func(c *Circuit, mems [][]uint64) (Backend, error)
-
-var engineBuilders = map[Engine]EngineBuilder{}
-
-// RegisterEngine makes an engine available to CompileEngine. It is intended
-// to be called from an init function of the implementing package; registering
-// a duplicate or overriding the built-in closure engine panics.
-func RegisterEngine(name Engine, b EngineBuilder) {
-	if name == "" || name == EngineClosure {
-		panic("rtl: cannot override the closure reference engine")
-	}
-	if _, dup := engineBuilders[name]; dup {
-		panic(fmt.Sprintf("rtl: engine %q registered twice", name))
-	}
-	engineBuilders[name] = b
-}
-
-// Engines lists the selectable engine names, sorted, starting with the
-// built-in closure engine. Command-line help and spec validation use it so a
-// typo'd engine name fails with the real set of choices.
-func Engines() []Engine {
-	out := []Engine{EngineClosure}
-	for name := range engineBuilders {
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ParseEngine validates an engine name from a flag or spec. The empty string
-// selects the closure reference engine.
-func ParseEngine(name string) (Engine, error) {
-	e := Engine(name)
-	if e == "" || e == EngineClosure {
-		return EngineClosure, nil
-	}
-	if _, ok := engineBuilders[e]; ok {
-		return e, nil
-	}
-	names := make([]string, 0, len(engineBuilders)+1)
-	for _, n := range Engines() {
-		names = append(names, string(n))
-	}
-	return "", fmt.Errorf("rtl: unknown engine %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // CombOrder levelises the circuit's combinational assignments: the returned

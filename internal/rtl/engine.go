@@ -43,50 +43,25 @@ type Model struct {
 	outputs map[string]SigID
 
 	vcd *VCDWriter
-
-	// Self-profiler phase attribution (AttachProfiler): when prof is
-	// non-nil, closureTick sub-attributes each cycle to the comb-settle,
-	// sequential-update and memory-write-port phases. Nil when profiling
-	// is off (the default) or when the backend sub-attributes itself.
-	prof    *sim.Profiler
-	ownComb sim.OwnerID
-	ownSeq  sim.OwnerID
-	ownMemw sim.OwnerID
 }
 
 // PhaseProfiled is implemented by engine backends that sub-attribute their
 // tick phases (comb settle, sequential update, memory write ports) to the
-// self-profiler themselves. Model.AttachProfiler forwards to it when present;
-// otherwise only the closure reference engine's phases are attributed.
+// self-profiler. The bytecode engine does; the closure reference engine is
+// never profiled.
 type PhaseProfiled interface {
 	AttachProfiler(p *sim.Profiler, comb, seq, memw sim.OwnerID)
 }
 
 // AttachProfiler enables per-phase self-profiling of this model's ticks:
 // host time inside Tick is sub-attributed to the given comb/seq/memw owners
-// so an RTL-heavy simulation point reads "nvdla0/rtl-comb" rather than just
-// "slow". Phase counts reflect the work the active engine really did (an
-// activity-gated backend enters fewer phases), while results stay bit-exact.
+// so an RTL-heavy simulation point reads "pmu/rtl-comb" rather than just
+// "slow". Phase counts reflect the work the engine really did (activity
+// gating enters fewer phases), while results stay bit-exact. It does
+// nothing on a closure reference model.
 func (m *Model) AttachProfiler(p *sim.Profiler, comb, seq, memw sim.OwnerID) {
 	if b, ok := m.backend.(PhaseProfiled); ok {
 		b.AttachProfiler(p, comb, seq, memw)
-		return
-	}
-	m.prof, m.ownComb, m.ownSeq, m.ownMemw = p, comb, seq, memw
-}
-
-// enterPhase switches self-profiler attribution to owner o (nil-safe).
-func (m *Model) enterPhase(o sim.OwnerID) sim.OwnerID {
-	if m.prof == nil {
-		return 0
-	}
-	return m.prof.Enter(o)
-}
-
-// exitPhase restores the owner saved by enterPhase (nil-safe).
-func (m *Model) exitPhase(prev sim.OwnerID) {
-	if m.prof != nil {
-		m.prof.Exit(prev)
 	}
 }
 
@@ -99,24 +74,23 @@ type pendingMemWrite struct {
 }
 
 // Compile validates, levelises, and instantiates a circuit on the closure
-// reference engine. Use CompileEngine to select another engine.
-func Compile(c *Circuit) (*Model, error) { return CompileEngine(c, EngineClosure) }
+// reference engine. Production models run the bytecode engine
+// (rtlc.CompileEngine); this one is the oracle they are tested against.
+func Compile(c *Circuit) (*Model, error) { return CompileBackend(c, EngineClosure, nil) }
 
-// CompileEngine validates, levelises, and instantiates a circuit on the
-// named engine. The empty string selects the closure reference engine; other
-// names must have been made available via RegisterEngine (for bytecode,
-// linking internal/rtlc into the binary suffices). Whatever the engine, the
-// resulting Model is bit-exact: same values, VCD, checkpoints, state hashes.
-func CompileEngine(c *Circuit, engine Engine) (*Model, error) {
+// CompileBackend validates, levelises, and instantiates a circuit on the
+// Backend that build constructs, or on the closure reference engine when
+// build is nil. mems is the Model's memory storage (one word slice per
+// circuit memory), which the backend must share — memory state, like Vals,
+// has a single copy. Whatever the engine, the Model is bit-exact: same
+// values, VCD, checkpoints, state hashes.
+func CompileBackend(c *Circuit, engine Engine, build func(c *Circuit, mems [][]uint64) (Backend, error)) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	order, err := levelize(c)
 	if err != nil {
 		return nil, err
-	}
-	if engine == "" {
-		engine = EngineClosure
 	}
 	m := &Model{
 		c:       c,
@@ -139,15 +113,10 @@ func CompileEngine(c *Circuit, engine Engine) (*Model, error) {
 	for i, mem := range c.Mems {
 		m.mems[i] = make([]uint64, mem.Depth)
 	}
-	if engine == EngineClosure {
+	if build == nil {
 		m.vals = make([]uint64, len(c.Signals))
 		m.buildFns()
 	} else {
-		build, ok := engineBuilders[engine]
-		if !ok {
-			return nil, fmt.Errorf("rtl: unknown engine %q (registered: %v); is the engine's package linked in?",
-				engine, Engines())
-		}
 		be, err := build(c, m.mems)
 		if err != nil {
 			return nil, fmt.Errorf("rtl: engine %q: %w", engine, err)
@@ -369,7 +338,7 @@ func (m *Model) PokeMem(id MemID, addr int, val uint64) {
 
 // Eval settles the combinational logic against current inputs and register
 // state: one linear pass of compiled assignments in levelised order (closure
-// calls on the reference engine, bytecode on a registered backend).
+// calls on the reference engine, bytecode on a backend).
 func (m *Model) Eval() {
 	if m.backend != nil {
 		m.backend.Eval()
@@ -421,12 +390,9 @@ func (m *Model) Tick() {
 // closureTick is one clock cycle on the closure reference engine: eval,
 // capture with pre-edge values, commit, eval.
 func (m *Model) closureTick() {
-	prev := m.enterPhase(m.ownComb)
 	m.Eval()
-	m.exitPhase(prev)
 	// Capture next-state with pre-edge values (non-blocking semantics).
 	// memwBuf is reused across ticks so the hot path stays allocation-free.
-	prev = m.enterPhase(m.ownMemw)
 	m.memwBuf = m.memwBuf[:0]
 	for i := range m.memwFns {
 		w := &m.memwFns[i]
@@ -437,8 +403,6 @@ func (m *Model) closureTick() {
 			}
 		}
 	}
-	m.exitPhase(prev)
-	prev = m.enterPhase(m.ownSeq)
 	if m.nextBuf == nil || len(m.nextBuf) < len(m.seqFns) {
 		m.nextBuf = make([]uint64, len(m.seqFns))
 	}
@@ -452,10 +416,7 @@ func (m *Model) closureTick() {
 	for _, w := range m.memwBuf {
 		m.mems[w.mem][w.addr] = w.data
 	}
-	m.exitPhase(prev)
-	prev = m.enterPhase(m.ownComb)
 	m.Eval()
-	m.exitPhase(prev)
 }
 
 // eval evaluates an expression against current signal values.

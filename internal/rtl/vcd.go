@@ -18,7 +18,6 @@ type VCDWriter struct {
 	last     []uint64
 	period   uint64 // timestamp units per cycle
 	headerOK bool
-	changes  uint64
 }
 
 // AttachVCD connects a VCD writer to the model. period is the number of VCD
@@ -47,9 +46,6 @@ func (v *VCDWriter) SetEnabled(on bool) { v.enabled = on }
 
 // Enabled reports whether dumping is active.
 func (v *VCDWriter) Enabled() bool { return v.enabled }
-
-// Changes returns the number of value changes written (for tests/stats).
-func (v *VCDWriter) Changes() uint64 { return v.changes }
 
 // Flush flushes buffered output; call at end of simulation.
 func (v *VCDWriter) Flush() error { return v.w.Flush() }
@@ -119,7 +115,6 @@ func (v *VCDWriter) writeValue(width int, val uint64, id string) {
 	v.w.WriteByte(' ')
 	v.w.WriteString(id)
 	v.w.WriteByte('\n')
-	v.changes++
 }
 
 // dump writes changed signals at the current cycle's timestamp.
@@ -135,6 +130,5 @@ func (v *VCDWriter) dump(m *Model) {
 		}
 		v.writeValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
 		v.last[i] = m.vals[i]
-		v.changes++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
 )
 
 // fz is a deterministic byte-stream reader for the fuzz circuit generator.
@@ -204,8 +205,8 @@ func FuzzEngines(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		mc, errC := rtl.CompileEngine(c, rtl.EngineClosure)
-		mb, errB := rtl.CompileEngine(c, rtl.EngineBytecode)
+		mc, errC := rtlc.CompileEngine(c, rtl.EngineClosure)
+		mb, errB := rtlc.CompileEngine(c, rtl.EngineBytecode)
 		if (errC == nil) != (errB == nil) {
 			t.Fatalf("engines disagree on compilability: closure=%v bytecode=%v", errC, errB)
 		}

@@ -97,11 +97,11 @@ func allOpsCircuit(t testing.TB) *rtl.Circuit {
 
 func compileBoth(t testing.TB, c *rtl.Circuit) (mc, mb *rtl.Model) {
 	t.Helper()
-	mc, err := rtl.CompileEngine(c, rtl.EngineClosure)
+	mc, err := rtlc.CompileEngine(c, rtl.EngineClosure)
 	if err != nil {
 		t.Fatalf("closure compile: %v", err)
 	}
-	mb, err = rtl.CompileEngine(c, rtl.EngineBytecode)
+	mb, err = rtlc.CompileEngine(c, rtl.EngineBytecode)
 	if err != nil {
 		t.Fatalf("bytecode compile: %v", err)
 	}
@@ -161,29 +161,15 @@ func TestEnginesDispatchIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineSelectionAPI checks the one engine-selection call: an unknown
+// engine name is an error, and a model reports the engine it runs.
 func TestEngineSelectionAPI(t *testing.T) {
-	found := map[rtl.Engine]bool{}
-	for _, e := range rtl.Engines() {
-		found[e] = true
-	}
-	if !found[rtl.EngineClosure] || !found[rtl.EngineBytecode] {
-		t.Fatalf("Engines() = %v, want closure and bytecode", rtl.Engines())
-	}
-	if e, err := rtl.ParseEngine(""); err != nil || e != rtl.EngineClosure {
-		t.Fatalf("ParseEngine(\"\") = %v, %v", e, err)
-	}
-	if e, err := rtl.ParseEngine("bytecode"); err != nil || e != rtl.EngineBytecode {
-		t.Fatalf("ParseEngine(bytecode) = %v, %v", e, err)
-	}
-	if _, err := rtl.ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine(jit) succeeded, want error naming valid engines")
-	}
-	if _, err := rtl.CompileEngine(allOpsCircuit(t), "jit"); err == nil {
+	if _, err := rtlc.CompileEngine(allOpsCircuit(t), "jit"); err == nil {
 		t.Fatal("CompileEngine with unknown engine succeeded")
 	}
-	_, mb := compileBoth(t, allOpsCircuit(t))
-	if mb.Engine() != rtl.EngineBytecode {
-		t.Fatalf("Engine() = %q, want bytecode", mb.Engine())
+	mc, mb := compileBoth(t, allOpsCircuit(t))
+	if mc.Engine() != rtl.EngineClosure || mb.Engine() != rtl.EngineBytecode {
+		t.Fatalf("Engine() = %q, %q, want closure, bytecode", mc.Engine(), mb.Engine())
 	}
 }
 
@@ -345,7 +331,7 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 		{"bytecode-to-closure", rtl.EngineBytecode, rtl.EngineClosure},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			src, err := rtl.CompileEngine(c, dir.save)
+			src, err := rtlc.CompileEngine(c, dir.save)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +341,7 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 			if err := src.SaveCheckpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			dst, err := rtl.CompileEngine(c, dir.load)
+			dst, err := rtlc.CompileEngine(c, dir.load)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +417,7 @@ func TestTickAllocsPerRun(t *testing.T) {
 	c := allOpsCircuit(t)
 	for _, engine := range []rtl.Engine{rtl.EngineClosure, rtl.EngineBytecode} {
 		t.Run(string(engine), func(t *testing.T) {
-			m, err := rtl.CompileEngine(c, engine)
+			m, err := rtlc.CompileEngine(c, engine)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -383,9 +383,6 @@ func (r *RTLObject) pumpMem() {
 // InflightCount reports currently outstanding memory requests.
 func (r *RTLObject) InflightCount() int { return len(r.inflight) }
 
-// QueuedCount reports memory requests waiting behind the in-flight cap.
-func (r *RTLObject) QueuedCount() int { return len(r.sendQ) - r.sendHead }
-
 func (r *RTLObject) completeCPU(resp CPUResponse) {
 	pkt, ok := r.cpuPkts[resp.ID]
 	if !ok {

@@ -153,10 +153,11 @@ func (p *Profiler) sample() {
 	p.countdown = p.every
 }
 
-// Enter switches attribution to owner o mid-event — the RTL engines use it to
-// sub-attribute tick phases (comb settle, sequential update, memory ports) —
-// and returns the previous owner for the matching Exit. Enter counts one
-// phase execution for o, so phase counts stay exact and deterministic.
+// Enter switches attribution to owner o mid-event — the bytecode RTL engine
+// uses it to sub-attribute tick phases (comb settle, sequential update,
+// memory ports) — and returns the previous owner for the matching Exit.
+// Enter counts one phase execution for o, so phase counts stay exact and
+// deterministic.
 func (p *Profiler) Enter(o OwnerID) OwnerID {
 	prev := p.current
 	p.counts[o]++

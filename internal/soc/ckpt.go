@@ -29,9 +29,9 @@ import (
 // PMUWaveform/PMUWaveOut are host-side observability and deliberately
 // excluded: a run may be checkpointed without waveforms and restored with
 // them (the VCD writer is re-synced on restore; see rtl.VCDWriter.Resync).
-// RTLEngine is excluded too: engines are dispatch-identical and share the
-// model state layout, so checkpoints are engine-portable — a run saved
-// under one engine restores under any other.
+// The RTL engine is not part of it: engines are dispatch-identical and
+// share the model state layout, so checkpoints are engine-portable — a run
+// saved under the closure reference restores under the bytecode engine.
 func (cfg Config) fingerprint() uint64 {
 	memName := cfg.Memory
 	if memName == "" {

@@ -217,14 +217,16 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 	}
 }
 
-// cpuSystemEngine is cpuSystem with an explicit RTL engine.
+// cpuSystemEngine is cpuSystem with its PMU compiled on the given RTL
+// engine.
 func cpuSystemEngine(t testing.TB, engine rtl.Engine) (*soc.System, *experiments.AXIHost) {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "DDR4-1ch"
 	cfg.WithPMU = true
-	cfg.RTLEngine = engine
+	soc.UseClosureEngineForTest(engine == rtl.EngineClosure)
+	defer soc.UseClosureEngineForTest(false)
 	s := soc.MustBuild(cfg)
 	host := experiments.NewAXIHost(s.Queue)
 	port.Bind(host.Port(), s.PMU.CPUPort(0))
@@ -234,8 +236,9 @@ func cpuSystemEngine(t testing.TB, engine rtl.Engine) (*soc.System, *experiments
 // TestCheckpointCrossEngine checks that checkpoints are engine-portable: a
 // run saved under one RTL engine restores under the other and finishes with
 // the digest (final tick, event count, StateHash, full stats dump) of an
-// uninterrupted run — in both directions. This is what lets a sweep warm a
-// checkpoint prefix once and serve it to points running either engine.
+// uninterrupted run — in both directions. The closure reference engine is
+// reached through soc.UseClosureEngineForTest, so this is the full-system
+// check that the production engine's state layout matches the reference.
 func TestCheckpointCrossEngine(t *testing.T) {
 	src := workload.SortBenchmark(workload.SortParams{N: 60, SleepUs: 20})
 	const limit = 100 * sim.Millisecond

@@ -39,11 +39,6 @@ type Config struct {
 	Memory string
 	// WithPMU attaches the PMU RTL model to core 0.
 	WithPMU bool
-	// RTLEngine selects the simulation engine for RTL models ("closure" or
-	// "bytecode"; see rtl.Engines). Empty means the production default,
-	// the optimizing bytecode engine. Engine choice never changes
-	// simulation results, only execution speed.
-	RTLEngine rtl.Engine
 	// PMUWaveform enables VCD tracing of the PMU model into PMUWaveOut.
 	PMUWaveform bool
 	PMUWaveOut  io.Writer
@@ -123,6 +118,22 @@ const (
 // cap: headroom beyond the DSE's largest (240-in-flight) per-device cap.
 const memXbarMaxOutstanding = 512
 
+// rtlEngine is the engine Build compiles RTL models on: the production
+// bytecode engine, or the closure reference under UseClosureEngineForTest.
+var rtlEngine = rtl.EngineBytecode
+
+// UseClosureEngineForTest makes every subsequently built System compile its
+// RTL models on the closure reference engine while on, and on the bytecode
+// engine again when off. The engines are bit-exact, so results do not
+// change. It is NOT safe to toggle while systems are being built and exists
+// solely for differential tests that drive full systems through Build.
+func UseClosureEngineForTest(on bool) {
+	rtlEngine = rtl.EngineBytecode
+	if on {
+		rtlEngine = rtl.EngineClosure
+	}
+}
+
 // Build wires a system from the configuration.
 func Build(cfg Config) (*System, error) {
 	if cfg.Cores <= 0 {
@@ -130,13 +141,6 @@ func Build(cfg Config) (*System, error) {
 	}
 	if cfg.CoreFreqHz == 0 {
 		cfg.CoreFreqHz = 2_000_000_000
-	}
-	// Production default is the optimizing bytecode engine; results are
-	// engine-independent so the choice is pure execution strategy.
-	if cfg.RTLEngine == "" {
-		cfg.RTLEngine = rtl.EngineBytecode
-	} else if _, err := rtl.ParseEngine(string(cfg.RTLEngine)); err != nil {
-		return nil, fmt.Errorf("soc: %w", err)
 	}
 	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry()}
 	s.Clock = sim.NewClockDomain("cpu_clk", s.Queue, cfg.CoreFreqHz)
@@ -218,7 +222,7 @@ func Build(cfg Config) (*System, error) {
 	// PMU (Figure 2b): events from core 0's commit tap and L1D misses,
 	// clocked at 1 GHz (divider 2 from the 2 GHz cores).
 	if cfg.WithPMU {
-		w, err := pmu.NewWrapperEngine(pmu.NumCounters, cfg.RTLEngine)
+		w, err := pmu.NewWrapperEngine(pmu.NumCounters, rtlEngine)
 		if err != nil {
 			return nil, err
 		}

@@ -250,9 +250,6 @@ func (s *Server) worker() {
 // Store exposes the result store (the e2e tests assert on its length).
 func (s *Server) Store() *Store { return s.store }
 
-// Poison exposes the quarantine (poison) store.
-func (s *Server) Poison() *PoisonStore { return s.poison }
-
 // Drain stops accepting jobs, lets the workers finish every queued point
 // (retry-waiting points skip their backoff and settle immediately), and
 // returns when the pool has exited or ctx ends (in which case the remaining

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
 )
 
 // Elaborate flattens the named top module of a parsed source file into an
@@ -34,15 +35,15 @@ func Elaborate(file *SourceFile, top string, overrides map[string]int64) (*rtl.C
 }
 
 // Compile parses, elaborates and compiles source in one call — the
-// equivalent of invoking Verilator on a file with a given top module. It
-// uses the closure reference engine; use CompileEngine to select another.
+// equivalent of invoking Verilator on a file with a given top module. The
+// model runs on the production bytecode engine.
 func Compile(src, top string, overrides map[string]int64) (*rtl.Model, error) {
-	return CompileEngine(src, top, overrides, rtl.EngineClosure)
+	return CompileEngine(src, top, overrides, rtl.EngineBytecode)
 }
 
-// CompileEngine is Compile with an explicit simulation engine (see
-// rtl.Engines). Engine choice never changes results, only execution
-// strategy.
+// CompileEngine is Compile on a named engine (see rtlc.CompileEngine);
+// tests and benchmarks use it to run the closure reference engine. Engine
+// choice never changes results, only execution speed.
 func CompileEngine(src, top string, overrides map[string]int64, engine rtl.Engine) (*rtl.Model, error) {
 	f, err := Parse(src)
 	if err != nil {
@@ -52,7 +53,7 @@ func CompileEngine(src, top string, overrides map[string]int64, engine rtl.Engin
 	if err != nil {
 		return nil, err
 	}
-	m, err := rtl.CompileEngine(c, engine)
+	m, err := rtlc.CompileEngine(c, engine)
 	if err != nil {
 		// A comb always block with a path that never assigns a target shows
 		// up as a self-dependency; translate the engine's message.
